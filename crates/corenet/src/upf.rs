@@ -178,12 +178,14 @@ impl Upf {
     }
 
     /// Downlink: takes a data-network packet for `ue_addr`, returns the N3
-    /// packet to send to the gNB.
+    /// packet to send to the gNB. A packet beyond the GTP-U transport MTU
+    /// is rejected as [`GtpuError::Oversized`].
     pub fn downlink(&mut self, ue_addr: u32, payload: &Bytes) -> Result<Bytes, UpfError> {
         let session = self.by_ue.get(&ue_addr).copied().ok_or(UpfError::UnknownUe { ue_addr })?;
+        let n3 = GtpuHeader::gpdu(session.dl_teid).try_encode(payload)?;
         self.forwarded.1 += 1;
         self.tel.count("corenet", "dl_gpdu", 1);
-        Ok(GtpuHeader::gpdu(session.dl_teid).encode(payload))
+        Ok(n3)
     }
 }
 

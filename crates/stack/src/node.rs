@@ -340,9 +340,12 @@ impl GnbStack {
                 for s in sdap_pdus {
                     let (_h, payload) =
                         ctx.sdap.decode_pdu(&s).map_err(|e| StackError::Sdap(e.to_string()))?;
-                    // N3: wrap in GTP-U toward the UPF.
+                    // N3: wrap in GTP-U toward the UPF (a payload beyond the
+                    // transport MTU is rejected, not truncated).
                     n3_packets.push((
-                        corenet::gtpu::GtpuHeader::gpdu(ctx.session.ul_teid).encode(&payload),
+                        corenet::gtpu::GtpuHeader::gpdu(ctx.session.ul_teid)
+                            .try_encode(&payload)
+                            .map_err(|e| StackError::Core(e.to_string()))?,
                         (),
                     ));
                 }

@@ -1,26 +1,28 @@
-//! The event-driven stage pipeline: the Fig 2/Fig 3 packet journey as a
-//! declarative chain of [`Hop`]s on one shared [`sim::EventQueue`].
+//! The event-driven stage pipeline: the Fig 2/Fig 3 packet journey as
+//! typed hops on one shared [`sim::EventQueue`].
 //!
 //! A **hop** is a named pipeline unit wrapping one layer operation — the
 //! UE's SDAP/PDCP/RLC walk, the SR/grant exchange, a HARQ delivery cycle,
-//! a radio-head crossing, the GTP-U/UPF backbone hop. Each hop consumes
-//! one [`PingEvent`], performs its layer work (sampling processing times,
-//! encoding/decoding real PDUs), and returns its effects in a [`HopFx`]:
-//! the [`StageSpan`]s it contributes to the trace plus the next event(s)
-//! it schedules. The experiment driver (`PingExperiment::one_ping`) pops
-//! events off the queue and dispatches them through the [`HopChain`] until
-//! the ping completes, is lost, or detours through RRC recovery.
+//! a radio-head crossing, the GTP-U/UPF backbone hop. Each [`PingEvent`]
+//! variant is consumed by exactly one hop ([`PingEvent::hop`]), and
+//! [`Walk::step`] is a single `match` that destructures the event and
+//! calls that hop with only the payload fields it uses, so pairing a hop
+//! with the wrong event cannot compile. A hop samples processing times,
+//! encodes/decodes real PDUs, pushes its [`StageSpan`]s onto the ping's
+//! trace, schedules its follow-up event(s) on the experiment's queue, and
+//! returns a [`HopOutcome`]. The experiment driver
+//! (`PingExperiment::one_ping`) pops events and steps the walk until the
+//! ping completes, is lost, or detours through RRC recovery.
 //!
-//! Cross-cutting concerns stay out of the hop bodies:
+//! **Faults** (`sim::faults`) are plain calls inside the dispatch arms,
+//! where the fault process acts in the real system: a lost SR and a
+//! withheld grant end their arm early, a backbone spike is drawn before
+//! the N3 crossing, and a jitter storm is drawn where the gNB radio
+//! receive and the DL preparation hand samples across the radio host.
 //!
-//! - **faults** (`sim::faults`) are applied by decorator hops —
-//!   [`SrLossGate`], [`GrantGate`], [`StormGate`], [`SpikeGate`] — that
-//!   wrap the protocol hop and inject the loss/stall *around* it, exactly
-//!   where the fault process acts in the real system;
-//! - **telemetry** span emission lives in the driver: hops only return
-//!   spans, the driver appends them to the [`PingTrace`] and flushes the
-//!   journey to the journal once per ping (UL side then DL side), so an
-//!   instrumented run and a dark run stay bit-identical.
+//! **Telemetry** span journaling lives in the driver, which flushes the
+//! journey to the journal once per ping (UL side then DL side), so an
+//! instrumented run and a dark run stay bit-identical.
 //!
 //! The pipeline is behavior-preserving by construction: every hop draws
 //! from the same per-stream RNGs (`rng_ue`, `rng_gnb`, `rng_net`, the
@@ -31,25 +33,18 @@
 
 use bytes::Bytes;
 use ran::sched::{AccessMode, UlGrant};
-use ran::sr::SrProcedure;
-use sim::{Duration, FaultKind, Instant, PingFaultTrace};
+use ran::sr::{SrConfig, SrProcedure};
+use ran::timing::LayerTimings;
+use sim::{Dist, Duration, FaultKind, Instant, PingFaultTrace, StreamingStats};
 use telemetry::JournalEvent;
 
 use crate::config::DlPullPoint;
 use crate::experiment::{
-    make_payload, ExperimentResult, PingExperiment, RlfEvent, MAX_SCHED_ROUNDS, RNTI, UE_ADDR,
+    make_payload, ExperimentResult, LayerStats, PingExperiment, RlfEvent, MAX_SCHED_ROUNDS, RNTI,
+    UE_ADDR,
 };
 use crate::journey::{PingTrace, StageSpan};
 use crate::stage_labels as labels;
-
-/// Which half of the journey a span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Uplink (request) leg.
-    Ul,
-    /// Downlink (reply) leg.
-    Dl,
-}
 
 /// One event in a ping's walk. Each variant is consumed by exactly one
 /// hop (see [`PingEvent::hop`]); the payload carries what the *next* hop
@@ -122,13 +117,16 @@ pub enum PingEvent {
     RingSubmit {
         /// The assigned air time.
         dl_tx: Instant,
+        /// Jitter-storm stall that delayed this submission (zero when
+        /// none); the ring charges whatever the missed slot costs.
+        storm: Duration,
     },
     /// The DL block got through; the UE receives and walks it up.
     UeRx,
 }
 
-/// Names of the pipeline units, in journey order. Doubles as the
-/// [`HopChain`] index: `chain[event.hop()]` is the consuming hop.
+/// Names of the pipeline units, in journey order — the profiler's stage
+/// keys (`profile.csv` rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HopId {
@@ -138,14 +136,14 @@ pub enum HopId {
     UlAccess,
     /// SR opportunity probe / RACH fallback (②).
     SrTx,
-    /// gNB decodes the SR (PHY + MAC) — wrapped by [`SrLossGate`].
+    /// gNB decodes the SR (PHY + MAC), behind the SR-loss gate.
     SrDecode,
     /// Buffer status reaches the scheduler; first boundary is booked.
     UlSchedRequest,
     /// One UL scheduling round per slot boundary (③–④).
     UlSched,
-    /// UE decodes the grant DCI and prepares (⑤) — wrapped by
-    /// [`GrantGate`].
+    /// UE decodes the grant DCI and prepares (⑤), behind the
+    /// withheld-grant gate.
     GrantRx,
     /// UL data transmission in the granted/next opportunity (⑥).
     UlTx,
@@ -153,19 +151,18 @@ pub enum HopId {
     HarqDelivery,
     /// RRC re-establishment detour after RLF.
     RlfRecovery,
-    /// gNB radio-head RX crossing (⑦) — wrapped by [`StormGate`].
+    /// gNB radio-head RX crossing (⑦), stretched by jitter storms.
     GnbRadio,
     /// gNB PHY→SDAP uplink walk + byte-exact decode (⑦).
     GnbWalkUp,
-    /// N3 backbone crossing under path supervision — wrapped by
-    /// [`SpikeGate`].
+    /// N3 backbone crossing under path supervision, plus backbone spikes.
     Backbone,
     /// gNB SDAP→RLC downlink walk (⑧).
     DlWalkDown,
     /// One DL scheduling round per slot boundary (⑨, ends `RLC-q`).
     DlSched,
-    /// DL MAC/PHY preparation + radio submission (⑩) — wrapped by
-    /// [`StormGate`].
+    /// DL MAC/PHY preparation + radio submission (⑩), delayed by jitter
+    /// storms.
     DlPrep,
     /// TX-ring deadline check and DL air time (⑩).
     RadioRing,
@@ -173,7 +170,7 @@ pub enum HopId {
     UeRxUp,
 }
 
-/// Number of hops in the standard chain.
+/// Number of hops in the ping journey.
 pub const HOP_COUNT: usize = HopId::UeRxUp as usize + 1;
 
 impl HopId {
@@ -270,7 +267,7 @@ pub(crate) struct DeliveryState {
     pub recovered: Option<Vec<Bytes>>,
 }
 
-/// Per-ping mutable state threaded through the chain. Hops communicate
+/// Per-ping mutable state threaded through the walk. Hops communicate
 /// forward through events; anything a *later* hop needs that does not fit
 /// an event payload lives here.
 pub struct PingCtx {
@@ -284,7 +281,8 @@ pub struct PingCtx {
     pub(crate) ue_phy: Duration,
     pub(crate) ue_submit: Duration,
     pub(crate) in_rlc: Instant,
-    pub(crate) sr: Option<SrProcedure>,
+    /// The UE's SR procedure (idle until a grant-based access triggers it).
+    pub(crate) sr: SrProcedure,
     pub(crate) sr_ready: Instant,
     pub(crate) sched_rounds: u32,
     pub(crate) first_withheld: Option<Instant>,
@@ -295,14 +293,10 @@ pub struct PingCtx {
     pub(crate) dl_samples: usize,
     pub(crate) in_rlc_q: Instant,
     pub(crate) dl_sched_rounds: u32,
-    /// Storm stall sampled by the DL prep decorator, charged by the ring.
-    pub(crate) pending_storm: Duration,
-    /// Backbone spike sampled by the decorator, charged by the crossing.
-    pub(crate) pending_spike: Duration,
 }
 
 impl PingCtx {
-    pub(crate) fn new(id: u64, t0: Instant) -> PingCtx {
+    pub(crate) fn new(id: u64, t0: Instant, sr: SrConfig) -> PingCtx {
         PingCtx {
             id,
             t0,
@@ -314,7 +308,7 @@ impl PingCtx {
             ue_phy: Duration::ZERO,
             ue_submit: Duration::ZERO,
             in_rlc: t0,
-            sr: None,
+            sr: SrProcedure::new(sr),
             sr_ready: t0,
             sched_rounds: 0,
             first_withheld: None,
@@ -325,17 +319,14 @@ impl PingCtx {
             dl_samples: 0,
             in_rlc_q: t0,
             dl_sched_rounds: 0,
-            pending_storm: Duration::ZERO,
-            pending_spike: Duration::ZERO,
         }
     }
 }
 
 /// How a hop left the walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopOutcome {
-    /// The walk continues with the emitted events.
-    #[default]
+    /// The walk continues with the events the hop scheduled.
     Continue,
     /// The ping is lost (attributed to the dominant fault by the driver).
     Lost,
@@ -343,677 +334,398 @@ pub enum HopOutcome {
     Done,
 }
 
-/// The effects a hop returns: trace spans, follow-up events, and the walk
-/// outcome. Hops never touch the event queue or the journal's stage flush
-/// directly — everything flows through here so decorators can stretch
-/// spans and shift emissions, and the driver stays the single scheduler.
-#[derive(Debug, Default)]
-pub struct HopFx {
-    pub(crate) spans: Vec<(Side, StageSpan)>,
-    pub(crate) emits: Vec<(Instant, PingEvent)>,
-    pub(crate) outcome: HopOutcome,
+/// One hop's view of the run: the experiment's layer entities, RNG
+/// streams and event queue, the ping's state, and the run's accumulators.
+pub(crate) struct Walk<'a> {
+    pub(crate) exp: &'a mut PingExperiment,
+    pub(crate) ctx: &'a mut PingCtx,
+    pub(crate) result: &'a mut ExperimentResult,
 }
 
-impl HopFx {
-    pub(crate) fn new() -> HopFx {
-        HopFx::default()
+impl Walk<'_> {
+    /// Routes `ev`, fired at `at`, to the hop that consumes it; the fault
+    /// gates run in the arms of the hops they perturb.
+    pub(crate) fn step(&mut self, at: Instant, ev: PingEvent) -> HopOutcome {
+        match ev {
+            PingEvent::Arrival => self.app_down(at),
+            PingEvent::UlAccess => self.ul_access(at),
+            PingEvent::SrTx { probe } => self.sr_tx(probe),
+            PingEvent::SrOnAir { slot, tx_start } => {
+                if self.sr_lost(slot, tx_start) {
+                    HopOutcome::Continue
+                } else {
+                    self.sr_decode(tx_start)
+                }
+            }
+            PingEvent::SrReady => self.ul_sched_request(at),
+            PingEvent::SchedRound { slot } => self.ul_sched(at, slot),
+            PingEvent::GrantIssued { grant, decision_slot } => {
+                if self.grant_withheld(grant) {
+                    HopOutcome::Continue
+                } else {
+                    self.grant_rx(grant, decision_slot)
+                }
+            }
+            PingEvent::UlTxReady { granted_slot } => self.ul_tx(at, granted_slot),
+            PingEvent::AirDeliver => self.harq_delivery(at),
+            PingEvent::RlfDetour => self.rlf_recovery(at),
+            PingEvent::GnbRx => self.gnb_radio(at),
+            PingEvent::GnbWalk => self.gnb_walk_up(at),
+            PingEvent::Backbone { dl } => {
+                let spike = self.backbone_spike(at);
+                self.backbone(at, dl, spike)
+            }
+            PingEvent::DlWalkDown => self.dl_walk_down(at),
+            PingEvent::DlSched { slot } => self.dl_sched(at, slot),
+            PingEvent::DlPrepare { dl_tx } => self.dl_prep(at, dl_tx),
+            PingEvent::RingSubmit { dl_tx, storm } => self.radio_ring(at, dl_tx, storm),
+            PingEvent::UeRx => self.ue_rx_up(at),
+        }
     }
 
-    /// Contributes a trace span.
-    pub fn span(&mut self, side: Side, span: StageSpan) {
-        self.spans.push((side, span));
+    /// Schedules `ev` at `at`; the walk continues.
+    fn then(&mut self, at: Instant, ev: PingEvent) -> HopOutcome {
+        self.exp.events.push(at, ev);
+        HopOutcome::Continue
     }
 
-    /// Schedules the next event at `at`.
-    pub fn emit(&mut self, at: Instant, ev: PingEvent) {
-        self.emits.push((at, ev));
+    /// Appends an uplink trace span.
+    fn ul(&mut self, label: &'static str, start: Instant, end: Instant) {
+        self.ctx.trace.ul.push(StageSpan::new(label, start, end));
     }
 
-    /// Declares the ping lost.
-    pub fn lose(&mut self) {
-        self.outcome = HopOutcome::Lost;
+    /// Appends a downlink trace span.
+    fn dl(&mut self, label: &'static str, start: Instant, end: Instant) {
+        self.ctx.trace.dl.push(StageSpan::new(label, start, end));
     }
 
-    /// Declares the ping delivered.
-    pub fn done(&mut self) {
-        self.outcome = HopOutcome::Done;
-    }
-}
-
-/// One pipeline unit. Implementations read/write the experiment's layer
-/// entities and RNG streams (`exp`), the per-ping state (`ctx`), and the
-/// run's accumulators (`result`), and return their effects in `fx`.
-pub trait Hop {
-    /// Consumes `ev`, which fired at `at`.
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    );
-}
-
-/// The hop chain: one handler per [`HopId`], faults and telemetry layered
-/// on as decorators. Built once per run and shared by every ping.
-pub struct HopChain {
-    hops: Vec<Box<dyn Hop>>,
-}
-
-impl HopChain {
-    /// The standard ping journey: every Fig 2 stage, with the fault gates
-    /// wrapped around the hops they perturb.
-    pub fn standard() -> HopChain {
-        let mut hops: Vec<Box<dyn Hop>> = Vec::with_capacity(HOP_COUNT);
-        hops.push(Box::new(AppDownHop));
-        hops.push(Box::new(UlAccessHop));
-        hops.push(Box::new(SrTxHop));
-        hops.push(Box::new(SrLossGate { inner: SrDecodeHop }));
-        hops.push(Box::new(UlSchedRequestHop));
-        hops.push(Box::new(UlSchedHop));
-        hops.push(Box::new(GrantGate { inner: GrantRxHop }));
-        hops.push(Box::new(UlTxHop));
-        hops.push(Box::new(HarqDeliveryHop));
-        hops.push(Box::new(RlfRecoveryHop));
-        hops.push(Box::new(StormGate { inner: GnbRadioHop, stretch_span: true }));
-        hops.push(Box::new(GnbWalkHop));
-        hops.push(Box::new(SpikeGate { inner: BackboneHop }));
-        hops.push(Box::new(DlWalkHop));
-        hops.push(Box::new(DlSchedHop));
-        hops.push(Box::new(StormGate { inner: DlPrepHop, stretch_span: false }));
-        hops.push(Box::new(RingHop));
-        hops.push(Box::new(UeRxHop));
-        debug_assert_eq!(hops.len(), HOP_COUNT);
-        HopChain { hops }
+    /// Samples one gNB layer's processing time and books it in Table 2's
+    /// per-layer statistics and under `<layer>/proc_us`.
+    fn gnb_proc(
+        &mut self,
+        layer: &'static str,
+        which: fn(&LayerTimings) -> &Dist,
+        stats: fn(&mut LayerStats) -> &mut StreamingStats,
+    ) -> Duration {
+        let d = self.exp.sample_gnb(which);
+        stats(&mut self.result.layers).push(d.as_micros_f64());
+        self.exp.tel.record(layer, "proc_us", d);
+        d
     }
 
-    /// Routes `ev` to its hop.
-    pub fn dispatch(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        self.hops[ev.hop() as usize].handle(exp, ctx, result, at, ev, fx);
-    }
-}
+    // -----------------------------------------------------------------
+    // Uplink hops
+    // -----------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Uplink hops
-// ---------------------------------------------------------------------
-
-/// ① `APP↓`: the UE walks the request down SDAP→PDCP→RLC and encodes the
-/// actual MAC PDU(s).
-struct AppDownHop;
-
-impl Hop for AppDownHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
+    /// ① `APP↓`: the UE walks the request down SDAP→PDCP→RLC and encodes
+    /// the actual MAC PDU(s).
+    fn app_down(&mut self, at: Instant) -> HopOutcome {
         // Pings are spaced far apart: a connection that survived to the
         // next ping has been stable long enough for the re-establishment
         // counters to clear, so the budget bounds one incident chain.
-        exp.rrc.reset_budget();
-        ctx.payload = make_payload(ctx.id, exp.config.payload_bytes);
+        self.exp.rrc.reset_budget();
+        self.ctx.payload = make_payload(self.ctx.id, self.exp.config.payload_bytes);
+        let exp = &mut *self.exp;
         let ue_upper =
             exp.sample_ue(|t| &t.sdap) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.rlc);
         let in_rlc = at + ue_upper;
-        fx.span(Side::Ul, StageSpan::new(labels::APP_DOWN, at, in_rlc));
+        self.ul(labels::APP_DOWN, at, in_rlc);
         // Build the actual MAC PDU(s) now (content is time-independent).
-        // Infallible by construction: `grant_bytes()` sizes the UL grant
-        // for the configured payload plus PDCP/RLC/MAC headers, so the
-        // segmenter never overflows a transport block here.
-        let grant_bytes = exp.config.grant_bytes();
-        ctx.mac_pdus =
-            exp.ue.encode_uplink(&ctx.payload, grant_bytes).expect("UL grant sized for payload");
-        ctx.ul_samples = exp.ue.phy_sample_count(ctx.mac_pdus[0].len());
-        ctx.in_rlc = in_rlc;
-        fx.emit(in_rlc, PingEvent::UlAccess);
+        // `grant_bytes()` sizes the UL grant for the configured payload
+        // plus PDCP/RLC/MAC headers; a payload no grant can carry is lost.
+        let grant_bytes = self.exp.config.grant_bytes();
+        let Ok(mac_pdus) = self.exp.ue.encode_uplink(&self.ctx.payload, grant_bytes) else {
+            self.result.integrity_failures += 1;
+            return HopOutcome::Lost;
+        };
+        self.ctx.ul_samples = self.exp.ue.phy_sample_count(mac_pdus[0].len());
+        self.ctx.mac_pdus = mac_pdus;
+        self.ctx.in_rlc = in_rlc;
+        self.then(in_rlc, PingEvent::UlAccess)
     }
-}
 
-/// ② Access fork. The UE MAC/PHY preparation is pipelined with the
-/// protocol waits — the modem builds the transport block while waiting
-/// for its slot, so both draws happen here.
-struct UlAccessHop;
-
-impl Hop for UlAccessHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        ctx.ue_phy = exp.sample_ue(|t| &t.phy);
-        ctx.ue_submit = exp.ue_radio.tx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_ue);
+    /// ② Access fork. The UE MAC/PHY preparation is pipelined with the
+    /// protocol waits — the modem builds the transport block while waiting
+    /// for its slot, so both draws happen here.
+    fn ul_access(&mut self, at: Instant) -> HopOutcome {
+        let exp = &mut *self.exp;
+        self.ctx.ue_phy = exp.sample_ue(|t| &t.phy);
+        self.ctx.ue_submit =
+            exp.ue_radio.tx_radio_latency(self.ctx.ul_samples as u64, &mut exp.rng_ue);
         match exp.config.access {
             AccessMode::GrantFree => {
                 // UE MAC prepares the transmission directly.
                 let mac_t = exp.sample_ue(|t| &t.mac);
-                fx.emit(at + mac_t + ctx.ue_phy, PingEvent::UlTxReady { granted_slot: None });
+                let ready = at + mac_t + self.ctx.ue_phy;
+                self.then(ready, PingEvent::UlTxReady { granted_slot: None })
             }
             AccessMode::GrantBased => {
-                let mut sr = SrProcedure::new(exp.config.sr);
-                sr.trigger(at);
-                ctx.sr = Some(sr);
-                fx.emit(at, PingEvent::SrTx { probe: at });
+                self.ctx.sr.trigger(at);
+                self.then(at, PingEvent::SrTx { probe: at })
             }
         }
     }
-}
 
-/// ② SR transmission probe: the SR transmits at UL opportunities until
-/// the gNB hears one; sr-TransMax exhaustion falls back to the four-step
-/// RACH (TS 38.321 §5.4.4), whose Msg3 carries the buffer status.
-struct SrTxHop;
-
-impl Hop for SrTxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrTx { probe } = ev else { unreachable!("SrTxHop consumes SrTx") };
-        let sr_op = exp.timing.next_ul_opportunity(probe);
-        // Infallible: `SrTx` is only ever emitted by `UlAccessHop` (grant-
-        // based arm) and by this hop's retry path, both after `ctx.sr` was
-        // populated; `ctx.sr` is cleared only between pings.
-        let sr = ctx.sr.as_mut().expect("SR procedure in flight");
-        if sr.maybe_transmit(sr_op.slot, sr_op.tx_start) {
-            fx.emit(
-                sr_op.tx_start,
-                PingEvent::SrOnAir { slot: sr_op.slot, tx_start: sr_op.tx_start },
-            );
-        } else if sr.needs_rach() {
-            let giving_up = sr_op.tx_start;
-            let rach_cfg = exp.config.rach;
-            match ran::rach::recovery_latency(&rach_cfg, giving_up, 1, exp.injector.recovery_rng())
-            {
-                Some(lat) => {
-                    result.rach_recoveries += 1;
-                    exp.tel.count("mac", "rach_recoveries", 1);
-                    ctx.ftrace.record(FaultKind::SrLoss, lat);
-                    fx.span(Side::Ul, StageSpan::new(labels::RACH, giving_up, giving_up + lat));
-                    // Infallible: same invariant as above — this branch is
-                    // only reachable while the SR procedure is in flight.
-                    ctx.sr.as_mut().expect("SR procedure in flight").on_rach_complete();
-                    fx.emit(giving_up + lat, PingEvent::SrReady);
-                }
-                // Random access failed too: the UE never regains uplink
-                // access for this packet.
-                None => fx.lose(),
-            }
-        } else {
-            let next = exp.timing.slot_start(sr_op.slot + 1);
-            fx.emit(next, PingEvent::SrTx { probe: next });
+    /// ② SR transmission probe: the SR transmits at UL opportunities until
+    /// the gNB hears one; sr-TransMax exhaustion falls back to the
+    /// four-step RACH (TS 38.321 §5.4.4), whose Msg3 carries the buffer
+    /// status.
+    fn sr_tx(&mut self, probe: Instant) -> HopOutcome {
+        let sr_op = self.exp.timing.next_ul_opportunity(probe);
+        if self.ctx.sr.maybe_transmit(sr_op.slot, sr_op.tx_start) {
+            let tx_start = sr_op.tx_start;
+            return self.then(tx_start, PingEvent::SrOnAir { slot: sr_op.slot, tx_start });
         }
-    }
-}
-
-/// Fault decorator on [`SrDecodeHop`]: an injected PUCCH loss costs one
-/// opportunity per retry, re-entering the probe loop.
-struct SrLossGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for SrLossGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrOnAir { slot, tx_start } = ev else {
-            unreachable!("SrLossGate consumes SrOnAir")
-        };
-        if exp.injector.sr_lost() {
-            let probe = exp.timing.slot_start(slot + 1);
-            let next = exp.timing.next_ul_opportunity(probe);
-            ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
-            result.sr_retx += 1;
-            exp.tel.count("mac", "sr_retx", 1);
-            exp.tel.journal(JournalEvent::SrAttempt { ping: ctx.id, at: tx_start, lost: true });
-            fx.emit(probe, PingEvent::SrTx { probe });
-            return;
+        if !self.ctx.sr.needs_rach() {
+            let next = self.exp.timing.slot_start(sr_op.slot + 1);
+            return self.then(next, PingEvent::SrTx { probe: next });
         }
-        exp.tel.journal(JournalEvent::SrAttempt { ping: ctx.id, at: tx_start, lost: false });
-        self.inner.handle(exp, ctx, result, at, ev, fx);
-    }
-}
-
-/// ② The gNB decodes a heard SR: one-symbol PUCCH air time, then PHY +
-/// MAC processing.
-struct SrDecodeHop;
-
-impl Hop for SrDecodeHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SrOnAir { tx_start, .. } = ev else {
-            unreachable!("SrDecodeHop consumes SrOnAir")
+        let giving_up = sr_op.tx_start;
+        let rach_cfg = self.exp.config.rach;
+        let Some(lat) =
+            ran::rach::recovery_latency(&rach_cfg, giving_up, 1, self.exp.injector.recovery_rng())
+        else {
+            // Random access failed too: the UE never regains uplink
+            // access for this packet.
+            return HopOutcome::Lost;
         };
-        let sr_air = exp.config.duplex.numerology().symbol_offset(1); // one-symbol PUCCH SR
+        self.result.rach_recoveries += 1;
+        self.exp.tel.count("mac", "rach_recoveries", 1);
+        self.ctx.ftrace.record(FaultKind::SrLoss, lat);
+        self.ul(labels::RACH, giving_up, giving_up + lat);
+        self.ctx.sr.on_rach_complete();
+        self.then(giving_up + lat, PingEvent::SrReady)
+    }
+
+    /// SR-loss gate: an injected PUCCH loss costs one opportunity per
+    /// retry, re-entering the probe loop. Returns whether the SR was lost.
+    fn sr_lost(&mut self, slot: u64, tx_start: Instant) -> bool {
+        let lost = self.exp.injector.sr_lost();
+        if lost {
+            let probe = self.exp.timing.slot_start(slot + 1);
+            let next = self.exp.timing.next_ul_opportunity(probe);
+            self.ctx.ftrace.record(FaultKind::SrLoss, next.tx_start - tx_start);
+            self.result.sr_retx += 1;
+            self.exp.tel.count("mac", "sr_retx", 1);
+            self.exp.events.push(probe, PingEvent::SrTx { probe });
+        }
+        self.exp.tel.journal(JournalEvent::SrAttempt { ping: self.ctx.id, at: tx_start, lost });
+        lost
+    }
+
+    /// ② The gNB decodes a heard SR: one-symbol PUCCH air time, then PHY +
+    /// MAC processing.
+    fn sr_decode(&mut self, tx_start: Instant) -> HopOutcome {
+        let sr_air = self.exp.config.duplex.numerology().symbol_offset(1); // one-symbol PUCCH SR
         let sr_rx = tx_start + sr_air;
-        fx.span(Side::Ul, StageSpan::new(labels::WAIT_UL_SLOT, ctx.in_rlc, tx_start));
-        fx.span(Side::Ul, StageSpan::new(labels::SR, tx_start, sr_rx));
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        result.layers.phy.push(d_phy.as_micros_f64());
-        result.layers.mac.push(d_mac.as_micros_f64());
-        exp.tel.record("phy", "proc_us", d_phy);
-        exp.tel.record("mac", "proc_us", d_mac);
+        self.ul(labels::WAIT_UL_SLOT, self.ctx.in_rlc, tx_start);
+        self.ul(labels::SR, tx_start, sr_rx);
+        let d_phy = self.gnb_proc("phy", |t| &t.phy, |s| &mut s.phy);
+        let d_mac = self.gnb_proc("mac", |t| &t.mac, |s| &mut s.mac);
         let ready = sr_rx + d_phy + d_mac;
-        fx.span(Side::Ul, StageSpan::new(labels::SR_DECODE, sr_rx, ready));
-        fx.emit(ready, PingEvent::SrReady);
+        self.ul(labels::SR_DECODE, sr_rx, ready);
+        self.then(ready, PingEvent::SrReady)
     }
-}
 
-/// ③ The buffer status reaches the scheduler; scheduling happens once per
-/// slot, so the first round is booked at the next boundary.
-struct UlSchedRequestHop;
-
-impl Hop for UlSchedRequestHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        ctx.sr_ready = at;
-        exp.sched.on_sr(RNTI, at);
-        let boundary = exp.timing.slot_index_at(at) + 1;
-        fx.emit(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
+    /// ③ The buffer status reaches the scheduler; scheduling happens once
+    /// per slot, so the first round is booked at the next boundary.
+    fn ul_sched_request(&mut self, at: Instant) -> HopOutcome {
+        self.ctx.sr_ready = at;
+        self.exp.sched.on_sr(RNTI, at);
+        let boundary = self.exp.timing.slot_index_at(at) + 1;
+        self.then(self.exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary })
     }
-}
 
-/// ④ One scheduling round per slot boundary, bounded by
-/// [`MAX_SCHED_ROUNDS`] — a ping that cannot be scheduled within the
-/// budget is starved out and lost.
-struct UlSchedHop;
-
-impl Hop for UlSchedHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::SchedRound { slot } = ev else {
-            unreachable!("UlSchedHop consumes SchedRound")
-        };
+    /// ④ One scheduling round per slot boundary, bounded by
+    /// [`MAX_SCHED_ROUNDS`] — a ping that cannot be scheduled within the
+    /// budget is starved out and lost.
+    fn ul_sched(&mut self, at: Instant, slot: u64) -> HopOutcome {
+        let ctx = &mut *self.ctx;
         if ctx.sched_rounds == MAX_SCHED_ROUNDS {
             // Starved out of the scheduler entirely. `at` is this round's
             // never-run boundary.
-            ctx.ftrace
-                .record(FaultKind::GrantWithheld, at - ctx.first_withheld.unwrap_or(ctx.sr_ready));
-            fx.lose();
-            return;
+            let since = ctx.first_withheld.unwrap_or(ctx.sr_ready);
+            ctx.ftrace.record(FaultKind::GrantWithheld, at - since);
+            return HopOutcome::Lost;
         }
         ctx.sched_rounds += 1;
-        let decision = exp.sched.run_slot(slot);
+        let decision = self.exp.sched.run_slot(slot);
         match decision.ul_grants.first().copied() {
-            Some(g) => {
-                fx.emit(g.grant_tx, PingEvent::GrantIssued { grant: g, decision_slot: slot })
+            Some(grant) => {
+                self.then(grant.grant_tx, PingEvent::GrantIssued { grant, decision_slot: slot })
             }
-            None => {
-                let next = slot + 1;
-                fx.emit(exp.timing.slot_start(next), PingEvent::SchedRound { slot: next });
-            }
+            None => self.then(
+                self.exp.timing.slot_start(slot + 1),
+                PingEvent::SchedRound { slot: slot + 1 },
+            ),
         }
     }
-}
 
-/// Fault decorator on [`GrantRxHop`]: a withheld grant (injected
-/// starvation) is a DCI the UE never decodes; the gNB re-grants once the
-/// slot goes unused.
-struct GrantGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for GrantGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::GrantIssued { grant, .. } = ev else {
-            unreachable!("GrantGate consumes GrantIssued")
-        };
-        if exp.injector.grant_withheld() {
-            result.grants_withheld += 1;
-            exp.tel.count("mac", "grants_withheld", 1);
-            exp.tel.journal(JournalEvent::FaultInjected {
-                kind: FaultKind::GrantWithheld,
-                at: grant.grant_tx,
-                extra: Duration::ZERO,
-            });
-            ctx.first_withheld = ctx.first_withheld.or(Some(grant.grant_tx));
-            let retry = exp.timing.slot_start(grant.ul.slot + 1);
-            exp.sched.on_sr(RNTI, retry);
-            let boundary = exp.timing.slot_index_at(retry) + 1;
-            fx.emit(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
-            return;
+    /// Withheld-grant gate: injected starvation is a DCI the UE never
+    /// decodes; the gNB re-grants once the slot goes unused. Returns
+    /// whether the grant was withheld.
+    fn grant_withheld(&mut self, grant: UlGrant) -> bool {
+        if !self.exp.injector.grant_withheld() {
+            return false;
         }
-        self.inner.handle(exp, ctx, result, at, ev, fx);
-    }
-}
-
-/// ⑤ The UE decodes the grant DCI (two-symbol CORESET) and prepares the
-/// transmission (MAC + the pipelined PHY).
-struct GrantRxHop;
-
-impl Hop for GrantRxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        _at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::GrantIssued { grant, decision_slot } = ev else {
-            unreachable!("GrantRxHop consumes GrantIssued")
-        };
-        if let Some(first) = ctx.first_withheld {
-            ctx.ftrace.record(FaultKind::GrantWithheld, grant.grant_tx - first);
-        }
-        fx.span(
-            Side::Ul,
-            StageSpan::new(labels::SCHE, ctx.sr_ready, exp.timing.slot_start(decision_slot)),
-        );
-        let dci_air = exp.config.duplex.numerology().symbol_offset(2); // two-symbol CORESET
-        let grant_rx = grant.grant_tx + dci_air;
-        exp.tel.journal(JournalEvent::Grant {
-            ping: ctx.id,
-            at: grant_rx,
-            bytes: exp.config.grant_bytes(),
+        self.result.grants_withheld += 1;
+        let exp = &mut *self.exp;
+        exp.tel.count("mac", "grants_withheld", 1);
+        exp.tel.journal(JournalEvent::FaultInjected {
+            kind: FaultKind::GrantWithheld,
+            at: grant.grant_tx,
+            extra: Duration::ZERO,
         });
-        fx.span(Side::Ul, StageSpan::new(labels::UL_GRANT, grant.grant_tx, grant_rx));
-        let prep = exp.sample_ue(|t| &t.mac);
-        let ue_ready = grant_rx + prep + ctx.ue_phy;
-        fx.span(Side::Ul, StageSpan::new(labels::UE_PREP, grant_rx, ue_ready));
-        fx.emit(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) });
+        self.ctx.first_withheld = self.ctx.first_withheld.or(Some(grant.grant_tx));
+        let retry = exp.timing.slot_start(grant.ul.slot + 1);
+        exp.sched.on_sr(RNTI, retry);
+        let boundary = exp.timing.slot_index_at(retry) + 1;
+        exp.events.push(exp.timing.slot_start(boundary), PingEvent::SchedRound { slot: boundary });
+        true
     }
-}
 
-/// ⑥ UL data transmission in the granted/next reachable opportunity.
-struct UlTxHop;
+    /// ⑤ The UE decodes the grant DCI (two-symbol CORESET) and prepares the
+    /// transmission (MAC + the pipelined PHY).
+    fn grant_rx(&mut self, grant: UlGrant, decision_slot: u64) -> HopOutcome {
+        if let Some(first) = self.ctx.first_withheld {
+            self.ctx.ftrace.record(FaultKind::GrantWithheld, grant.grant_tx - first);
+        }
+        self.ul(labels::SCHE, self.ctx.sr_ready, self.exp.timing.slot_start(decision_slot));
+        let dci_air = self.exp.config.duplex.numerology().symbol_offset(2); // two-symbol CORESET
+        let grant_rx = grant.grant_tx + dci_air;
+        let bytes = self.exp.config.grant_bytes();
+        self.exp.tel.journal(JournalEvent::Grant { ping: self.ctx.id, at: grant_rx, bytes });
+        self.ul(labels::UL_GRANT, grant.grant_tx, grant_rx);
+        let prep = self.exp.sample_ue(|t| &t.mac);
+        let ue_ready = grant_rx + prep + self.ctx.ue_phy;
+        self.ul(labels::UE_PREP, grant_rx, ue_ready);
+        self.then(ue_ready, PingEvent::UlTxReady { granted_slot: Some(grant.ul.slot) })
+    }
 
-impl Hop for UlTxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::UlTxReady { granted_slot } = ev else {
-            unreachable!("UlTxHop consumes UlTxReady")
-        };
-        let tx_start = exp.ul_tx_start(at, ctx.ue_submit, granted_slot, &mut result.missed_grants);
-        fx.span(Side::Ul, StageSpan::new(labels::WAIT_UL_SLOT, at.min(tx_start), tx_start));
-        let air = exp.config.data_air_time(ctx.mac_pdus[0].len());
+    /// ⑥ UL data transmission in the granted/next reachable opportunity.
+    fn ul_tx(&mut self, at: Instant, granted_slot: Option<u64>) -> HopOutcome {
+        let exp = &mut *self.exp;
+        let tx_start =
+            exp.ul_tx_start(at, self.ctx.ue_submit, granted_slot, &mut self.result.missed_grants);
+        let air = exp.config.data_air_time(self.ctx.mac_pdus[0].len());
+        let grant_bytes = exp.config.grant_bytes();
         let tx_end = tx_start + air;
-        fx.span(Side::Ul, StageSpan::new(labels::UL_DATA, tx_start, tx_end));
-        ctx.delivery = DeliveryState {
-            dl: false,
-            air,
-            grant_bytes: exp.config.grant_bytes(),
-            pending: None,
-            recovered: None,
-        };
-        fx.emit(tx_end, PingEvent::AirDeliver);
+        self.ul(labels::WAIT_UL_SLOT, at.min(tx_start), tx_start);
+        self.ul(labels::UL_DATA, tx_start, tx_end);
+        self.ctx.delivery =
+            DeliveryState { dl: false, air, grant_bytes, pending: None, recovered: None };
+        self.then(tx_end, PingEvent::AirDeliver)
     }
-}
 
-// ---------------------------------------------------------------------
-// Delivery + recovery hops (shared by both legs)
-// ---------------------------------------------------------------------
+    // -----------------------------------------------------------------
+    // Delivery + recovery hops (shared by both legs)
+    // -----------------------------------------------------------------
 
-/// HARQ/RLC delivery of the transport block whose air time just ended.
-/// Channel loss first costs HARQ rounds (§8's retransmission steps), then
-/// RLC AM escalations, then — with every budget exhausted — radio link
-/// failure, which detours through [`RlfRecoveryHop`].
-struct HarqDeliveryHop;
-
-impl Hop for HarqDeliveryHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
+    /// HARQ/RLC delivery of the transport block whose air time just ended.
+    /// Channel loss first costs HARQ rounds (§8's retransmission steps),
+    /// then RLC AM escalations, then — with every budget exhausted — radio
+    /// link failure, which detours through [`Walk::rlf_recovery`].
+    fn harq_delivery(&mut self, at: Instant) -> HopOutcome {
+        let Walk { exp, ctx, result } = self;
         let dl = ctx.delivery.dl;
-        let side = if dl { Side::Dl } else { Side::Ul };
+        let spans = if dl { &mut ctx.trace.dl } else { &mut ctx.trace.ul };
         match exp.data_delivery(dl, at, result, &mut ctx.ftrace) {
             Ok(extra) => {
                 let done = at + extra;
                 if let Some((span_start, failed_at)) = ctx.delivery.pending.take() {
                     // The recovered retransmission got through: close the
                     // recovery's ledger at the delivery instant.
-                    fx.span(side, StageSpan::new(labels::PDCP_RECOVER, span_start, done));
+                    spans.push(StageSpan::new(labels::PDCP_RECOVER, span_start, done));
                     result.recovery.record(done - failed_at);
                     if let Some(kind) = ctx.ftrace.dominant() {
                         ctx.ftrace.record(kind, done - failed_at);
                     }
                 }
-                fx.emit(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx });
+                exp.events.push(done, if dl { PingEvent::UeRx } else { PingEvent::GnbRx });
             }
             Err(wasted) => {
                 let failed_at = at + wasted;
                 if let Some((span_start, prev_failed)) = ctx.delivery.pending.take() {
                     // The retried block died too: close the previous
                     // recovery's ledger at this new failure.
-                    fx.span(side, StageSpan::new(labels::PDCP_RECOVER, span_start, failed_at));
+                    spans.push(StageSpan::new(labels::PDCP_RECOVER, span_start, failed_at));
                     result.recovery.record(failed_at - prev_failed);
                 }
-                result.rlf.push(RlfEvent {
-                    ping: ctx.id,
-                    dl,
-                    dominant: ctx.ftrace.dominant(),
-                    recovered: false,
-                });
+                let dominant = ctx.ftrace.dominant();
+                result.rlf.push(RlfEvent { ping: ctx.id, dl, dominant, recovered: false });
                 exp.tel.journal(JournalEvent::Rlf { ping: ctx.id, dl, at: failed_at });
-                fx.emit(failed_at, PingEvent::RlfDetour);
+                exp.events.push(failed_at, PingEvent::RlfDetour);
             }
         }
+        HopOutcome::Continue
     }
-}
 
-/// The RRC re-establishment detour: detect → RACH re-access → RRC
-/// processing → PDCP data recovery, then the recovered block is retried
-/// over the fresh link (back through [`HarqDeliveryHop`]).
-struct RlfRecoveryHop;
-
-impl Hop for RlfRecoveryHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
+    /// The RRC re-establishment detour: detect → RACH re-access → RRC
+    /// processing → PDCP data recovery, then the recovered block is retried
+    /// over the fresh link (back through [`Walk::harq_delivery`]).
+    fn rlf_recovery(&mut self, at: Instant) -> HopOutcome {
+        let Walk { exp, ctx, result } = self;
         let dl = ctx.delivery.dl;
-        let side = if dl { Side::Dl } else { Side::Ul };
-        let mut spans = Vec::new();
-        let outcome = exp.recover_rlf(dl, at, ctx.delivery.grant_bytes, &mut spans, result);
         // Detour spans accrue on both outcomes (a failed data recovery
         // still shows the detect/RACH/reestablish legs it burned).
-        for s in spans {
-            fx.span(side, s);
-        }
-        let Some((resume, span_start, pdus)) = outcome else {
-            fx.lose();
-            return;
+        let spans = if dl { &mut ctx.trace.dl } else { &mut ctx.trace.ul };
+        let Some((resume, span_start, pdus)) =
+            exp.recover_rlf(dl, at, ctx.delivery.grant_bytes, spans, result)
+        else {
+            return HopOutcome::Lost;
         };
         if let Some(ev) = result.rlf.last_mut() {
             ev.recovered = true;
         }
         ctx.delivery.recovered = Some(pdus);
         ctx.delivery.pending = Some((span_start, at));
-        fx.emit(resume + ctx.delivery.air, PingEvent::AirDeliver);
+        self.then(resume + self.ctx.delivery.air, PingEvent::AirDeliver)
     }
-}
 
-// ---------------------------------------------------------------------
-// gNB receive + backbone hops
-// ---------------------------------------------------------------------
+    // -----------------------------------------------------------------
+    // gNB receive + backbone hops
+    // -----------------------------------------------------------------
 
-/// Fault decorator for fronthaul OS-jitter storms. On the UL receive side
-/// (`stretch_span`) the stall lengthens the `Radio` span and is charged
-/// to the ping immediately; on the DL prepare side the stall delays the
-/// ring submission, and [`RingHop`] charges whatever the missed slot
-/// actually costs.
-struct StormGate<H> {
-    inner: H,
-    stretch_span: bool,
-}
-
-impl<H: Hop> Hop for StormGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        self.inner.handle(exp, ctx, result, at, ev, fx);
-        let storm = exp.injector.storm_delay();
-        if self.stretch_span {
-            if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, storm);
-                exp.tel.record("radio", "storm_us", storm);
-                // Infallible: `StormGate` only wraps hops whose happy path
-                // pushes exactly one span and one emit (see ring wiring),
-                // and `storm > 0` implies the inner hop did not lose the
-                // ping — the storm gate draws after the inner hop ran.
-                let (_, span) = fx.spans.last_mut().expect("inner pushed its span");
-                span.end += storm;
-                let emit = fx.emits.last_mut().expect("inner emitted its event");
-                emit.0 += storm;
-                exp.tel.journal(JournalEvent::FaultInjected {
-                    kind: FaultKind::JitterStorm,
-                    at: emit.0,
-                    extra: storm,
-                });
-            }
-        } else {
-            // DL prepare: the stall shifts the submission; the fault cost
-            // is settled by the ring outcome.
-            ctx.pending_storm = storm;
-            if storm > Duration::ZERO {
-                exp.tel.record("radio", "storm_us", storm);
-                // Infallible: same wrapper invariant as the stretch arm.
-                let emit = fx.emits.last_mut().expect("inner emitted its event");
-                emit.0 += storm;
-                exp.tel.journal(JournalEvent::FaultInjected {
-                    kind: FaultKind::JitterStorm,
-                    at: emit.0,
-                    extra: storm,
-                });
-            }
+    /// Jitter-storm gate: draws the fronthaul OS-jitter stall for samples
+    /// crossing the radio host, due at `due` without it.
+    fn storm(&mut self, due: Instant) -> Duration {
+        let storm = self.exp.injector.storm_delay();
+        if storm > Duration::ZERO {
+            self.exp.tel.record("radio", "storm_us", storm);
+            self.exp.tel.journal(JournalEvent::FaultInjected {
+                kind: FaultKind::JitterStorm,
+                at: due + storm,
+                extra: storm,
+            });
         }
+        storm
     }
-}
 
-/// ⑦ The gNB radio head receives the UL samples.
-struct GnbRadioHop;
-
-impl Hop for GnbRadioHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let rx_radio = exp.gnb_radio.rx_radio_latency(ctx.ul_samples as u64, &mut exp.rng_gnb);
-        let host_rx = at + rx_radio;
-        fx.span(Side::Ul, StageSpan::new(labels::RADIO, at, host_rx));
-        fx.emit(host_rx, PingEvent::GnbWalk);
+    /// ⑦ The gNB radio head receives the UL samples. A jitter storm
+    /// lengthens the `Radio` span and is charged to the ping immediately.
+    fn gnb_radio(&mut self, at: Instant) -> HopOutcome {
+        let exp = &mut *self.exp;
+        let rx_radio = exp.gnb_radio.rx_radio_latency(self.ctx.ul_samples as u64, &mut exp.rng_gnb);
+        let storm = self.storm(at + rx_radio);
+        if storm > Duration::ZERO {
+            self.ctx.ftrace.record(FaultKind::JitterStorm, storm);
+        }
+        let host_rx = at + rx_radio + storm;
+        self.ul(labels::RADIO, at, host_rx);
+        self.then(host_rx, PingEvent::GnbWalk)
     }
-}
 
-/// ⑦ The gNB walks the packet up PHY→MAC→RLC→PDCP→SDAP and decodes the
-/// actual bytes (through PHY samples), checking byte-exact delivery.
-struct GnbWalkHop;
-
-impl Hop for GnbWalkHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        let d_rlc = exp.sample_gnb(|t| &t.rlc);
-        let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
-        let d_sdap = exp.sample_gnb(|t| &t.sdap);
-        result.layers.phy.push(d_phy.as_micros_f64());
-        result.layers.mac.push(d_mac.as_micros_f64());
-        result.layers.rlc.push(d_rlc.as_micros_f64());
-        result.layers.pdcp.push(d_pdcp.as_micros_f64());
-        result.layers.sdap.push(d_sdap.as_micros_f64());
-        exp.tel.record("phy", "proc_us", d_phy);
-        exp.tel.record("mac", "proc_us", d_mac);
-        exp.tel.record("rlc", "proc_us", d_rlc);
-        exp.tel.record("pdcp", "proc_us", d_pdcp);
-        exp.tel.record("sdap", "proc_us", d_sdap);
-        let decoded_at = at + d_phy + d_mac + d_rlc + d_pdcp + d_sdap;
-        fx.span(Side::Ul, StageSpan::new(labels::MAC_UP, at, decoded_at));
+    /// ⑦ The gNB walks the packet up PHY→MAC→RLC→PDCP→SDAP and decodes the
+    /// actual bytes (through PHY samples), checking byte-exact delivery.
+    fn gnb_walk_up(&mut self, at: Instant) -> HopOutcome {
+        let decoded_at = at
+            + self.gnb_proc("phy", |t| &t.phy, |s| &mut s.phy)
+            + self.gnb_proc("mac", |t| &t.mac, |s| &mut s.mac)
+            + self.gnb_proc("rlc", |t| &t.rlc, |s| &mut s.rlc)
+            + self.gnb_proc("pdcp", |t| &t.pdcp, |s| &mut s.pdcp)
+            + self.gnb_proc("sdap", |t| &t.sdap, |s| &mut s.sdap);
+        self.ul(labels::MAC_UP, at, decoded_at);
+        let Walk { exp, ctx, result } = self;
         // After a recovery, both RLC entities restarted their numbering
         // and the in-flight SDU was PDCP-retransmitted: the recovered MAC
         // PDUs are what actually crossed the air.
@@ -1043,147 +755,88 @@ impl Hop for GnbWalkHop {
         if !delivered_ok {
             result.integrity_failures += 1;
         }
-        fx.emit(decoded_at, PingEvent::Backbone { dl: false });
+        self.then(decoded_at, PingEvent::Backbone { dl: false })
     }
-}
 
-/// Fault decorator on [`BackboneHop`]: a latency spike on the transport
-/// network rides on top of the sampled N3 crossing.
-struct SpikeGate<H> {
-    inner: H,
-}
-
-impl<H: Hop> Hop for SpikeGate<H> {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let spike = exp.injector.backbone_spike();
+    /// Backbone-spike gate: a latency spike on the transport network, drawn
+    /// before the N3 crossing it rides on.
+    fn backbone_spike(&mut self, at: Instant) -> Duration {
+        let spike = self.exp.injector.backbone_spike();
         if spike > Duration::ZERO {
-            ctx.ftrace.record(FaultKind::BackboneSpike, spike);
-            exp.tel.journal(JournalEvent::FaultInjected {
+            self.ctx.ftrace.record(FaultKind::BackboneSpike, spike);
+            self.exp.tel.journal(JournalEvent::FaultInjected {
                 kind: FaultKind::BackboneSpike,
                 at,
                 extra: spike,
             });
         }
-        ctx.pending_spike = spike;
-        self.inner.handle(exp, ctx, result, at, ev, fx);
+        spike
     }
-}
 
-/// ⑦/⑧ One N3 traversal under GTP-U path supervision — the UL leg ends
-/// the request (the server replies immediately), the DL leg carries the
-/// reply back to the gNB.
-struct BackboneHop;
-
-impl Hop for BackboneHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::Backbone { dl } = ev else { unreachable!("BackboneHop consumes Backbone") };
-        let spike = std::mem::replace(&mut ctx.pending_spike, Duration::ZERO);
-        let net = exp.backbone_traverse(at, result, &mut ctx.ftrace) + spike;
+    /// ⑦/⑧ One N3 traversal under GTP-U path supervision — the UL leg ends
+    /// the request (the server replies immediately), the DL leg carries the
+    /// reply back to the gNB.
+    fn backbone(&mut self, at: Instant, dl: bool, spike: Duration) -> HopOutcome {
+        let net = self.exp.backbone_traverse(at, self.result, &mut self.ctx.ftrace) + spike;
         if dl {
-            ctx.dl_t0 = at;
-            fx.emit(at + net, PingEvent::DlWalkDown);
-        } else {
-            let ul_done = at + net;
-            fx.span(Side::Ul, StageSpan::new(labels::UPF, at, ul_done));
-            result.ul.record(ul_done - ctx.t0);
-            fx.emit(ul_done, PingEvent::Backbone { dl: true });
+            self.ctx.dl_t0 = at;
+            return self.then(at + net, PingEvent::DlWalkDown);
         }
+        let ul_done = at + net;
+        self.ul(labels::UPF, at, ul_done);
+        self.result.ul.record(ul_done - self.ctx.t0);
+        self.then(ul_done, PingEvent::Backbone { dl: true })
     }
-}
 
-// ---------------------------------------------------------------------
-// Downlink hops
-// ---------------------------------------------------------------------
+    // -----------------------------------------------------------------
+    // Downlink hops
+    // -----------------------------------------------------------------
 
-/// ⑧ The reply reaches the gNB and walks down SDAP→PDCP→RLC into the
-/// queue; the DL MAC PDU(s) are encoded and the scheduler learns of the
-/// data.
-struct DlWalkHop;
-
-impl Hop for DlWalkHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let d_sdap = exp.sample_gnb(|t| &t.sdap);
-        let d_pdcp = exp.sample_gnb(|t| &t.pdcp);
-        let d_rlc = exp.sample_gnb(|t| &t.rlc);
-        result.layers.sdap.push(d_sdap.as_micros_f64());
-        result.layers.pdcp.push(d_pdcp.as_micros_f64());
-        result.layers.rlc.push(d_rlc.as_micros_f64());
-        exp.tel.record("sdap", "proc_us", d_sdap);
-        exp.tel.record("pdcp", "proc_us", d_pdcp);
-        exp.tel.record("rlc", "proc_us", d_rlc);
-        let in_rlc_q = at + d_sdap + d_pdcp + d_rlc;
-        fx.span(Side::Dl, StageSpan::new(labels::SDAP_DOWN, at, in_rlc_q));
-        ctx.reply = make_payload(ctx.id | 0x8000_0000_0000_0000, exp.config.payload_bytes);
-        // Infallible by construction: `slot_capacity_bytes()` derives the
-        // DL slot budget from the same config that sizes the reply, and the
-        // session for UE_ADDR was registered at experiment setup.
-        let cap = exp.config.slot_capacity_bytes();
-        let (_rnti, dl_pdus) =
-            exp.gnb.encode_downlink(UE_ADDR, &ctx.reply, cap).expect("DL slot sized for reply");
-        ctx.dl_samples = phy::transport::sample_count(
+    /// ⑧ The reply reaches the gNB and walks down SDAP→PDCP→RLC into the
+    /// queue; the DL MAC PDU(s) are encoded and the scheduler learns of the
+    /// data.
+    fn dl_walk_down(&mut self, at: Instant) -> HopOutcome {
+        let in_rlc_q = at
+            + self.gnb_proc("sdap", |t| &t.sdap, |s| &mut s.sdap)
+            + self.gnb_proc("pdcp", |t| &t.pdcp, |s| &mut s.pdcp)
+            + self.gnb_proc("rlc", |t| &t.rlc, |s| &mut s.rlc);
+        self.dl(labels::SDAP_DOWN, at, in_rlc_q);
+        self.ctx.reply =
+            make_payload(self.ctx.id | 0x8000_0000_0000_0000, self.exp.config.payload_bytes);
+        // A reply beyond the GTP-U transport MTU never leaves the core:
+        // the encode fails and the ping is lost.
+        let cap = self.exp.config.slot_capacity_bytes();
+        let Ok((_rnti, dl_pdus)) = self.exp.gnb.encode_downlink(UE_ADDR, &self.ctx.reply, cap)
+        else {
+            self.result.integrity_failures += 1;
+            return HopOutcome::Lost;
+        };
+        self.ctx.dl_samples = phy::transport::sample_count(
             phy::transport::ShChConfig { modulation: phy::modulation::Modulation::Qpsk, c_init: 0 },
             dl_pdus[0].len(),
         );
-        exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
-        ctx.dl_pdus = dl_pdus;
-        ctx.in_rlc_q = in_rlc_q;
-        let boundary = exp.timing.slot_index_at(in_rlc_q) + 1;
-        fx.emit(exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary });
+        self.exp.sched.on_dl_data(RNTI, dl_pdus[0].len(), in_rlc_q);
+        self.ctx.dl_pdus = dl_pdus;
+        self.ctx.in_rlc_q = in_rlc_q;
+        let boundary = self.exp.timing.slot_index_at(in_rlc_q) + 1;
+        self.then(self.exp.timing.slot_start(boundary), PingEvent::DlSched { slot: boundary })
     }
-}
 
-/// ⑨ One DL scheduling round per slot boundary. The MAC pulls the data
-/// from the RLC queue when it builds the transport block (the configured
-/// [`DlPullPoint`]) — that pull instant ends the Table 2 "RLC-q"
-/// interval.
-struct DlSchedHop;
-
-impl Hop for DlSchedHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::DlSched { slot } = ev else { unreachable!("DlSchedHop consumes DlSched") };
-        if ctx.dl_sched_rounds == MAX_SCHED_ROUNDS {
+    /// ⑨ One DL scheduling round per slot boundary. The MAC pulls the data
+    /// from the RLC queue when it builds the transport block (the
+    /// configured [`DlPullPoint`]) — that pull instant ends the Table 2
+    /// "RLC-q" interval.
+    fn dl_sched(&mut self, at: Instant, slot: u64) -> HopOutcome {
+        if self.ctx.dl_sched_rounds == MAX_SCHED_ROUNDS {
             // The scheduler never served the reply: the ping is lost.
-            fx.lose();
-            return;
+            return HopOutcome::Lost;
         }
-        ctx.dl_sched_rounds += 1;
+        self.ctx.dl_sched_rounds += 1;
+        let exp = &mut *self.exp;
         let decision = exp.sched.run_slot(slot);
         let Some(assign) = decision.dl_assignments.first().copied() else {
-            let next = slot + 1;
-            fx.emit(exp.timing.slot_start(next), PingEvent::DlSched { slot: next });
-            return;
+            let next = exp.timing.slot_start(slot + 1);
+            return self.then(next, PingEvent::DlSched { slot: slot + 1 });
         };
         let dl_tx = assign.dl.tx_start;
         let decision_time = at; // == slot_start(slot): this round's boundary
@@ -1192,106 +845,63 @@ impl Hop for DlSchedHop {
             DlPullPoint::SlotsBeforeAir(slots) => decision_time
                 .max(dl_tx.saturating_sub(exp.config.duplex.slot_duration().saturating_mul(slots))),
         };
-        result.layers.rlcq.push((tb_build - ctx.in_rlc_q).as_micros_f64());
-        exp.tel.record("rlc", "queue_us", tb_build - ctx.in_rlc_q);
-        fx.span(Side::Dl, StageSpan::new(labels::RLC_Q, ctx.in_rlc_q, tb_build));
-        fx.emit(tb_build, PingEvent::DlPrepare { dl_tx });
+        let queued = tb_build - self.ctx.in_rlc_q;
+        self.result.layers.rlcq.push(queued.as_micros_f64());
+        exp.tel.record("rlc", "queue_us", queued);
+        self.dl(labels::RLC_Q, self.ctx.in_rlc_q, tb_build);
+        self.then(tb_build, PingEvent::DlPrepare { dl_tx })
     }
-}
 
-/// ⑩ DL MAC/PHY prepare the slot and submit samples to the radio; they
-/// must beat the air time (§4's margin, §6's reliability risk).
-struct DlPrepHop;
-
-impl Hop for DlPrepHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::DlPrepare { dl_tx } = ev else {
-            unreachable!("DlPrepHop consumes DlPrepare")
-        };
-        let d_mac = exp.sample_gnb(|t| &t.mac);
-        let d_phy = exp.sample_gnb(|t| &t.phy);
-        result.layers.mac.push(d_mac.as_micros_f64());
-        result.layers.phy.push(d_phy.as_micros_f64());
-        exp.tel.record("mac", "proc_us", d_mac);
-        exp.tel.record("phy", "proc_us", d_phy);
-        let submit = exp.gnb_radio.tx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_gnb);
-        fx.emit(at + d_mac + d_phy + submit, PingEvent::RingSubmit { dl_tx });
+    /// ⑩ DL MAC/PHY prepare the slot and submit samples to the radio; they
+    /// must beat the air time (§4's margin, §6's reliability risk). A
+    /// jitter storm delays the submission, and [`Walk::radio_ring`]
+    /// charges whatever the missed slot actually costs.
+    fn dl_prep(&mut self, at: Instant, dl_tx: Instant) -> HopOutcome {
+        let d_mac = self.gnb_proc("mac", |t| &t.mac, |s| &mut s.mac);
+        let d_phy = self.gnb_proc("phy", |t| &t.phy, |s| &mut s.phy);
+        let exp = &mut *self.exp;
+        let submit = exp.gnb_radio.tx_radio_latency(self.ctx.dl_samples as u64, &mut exp.rng_gnb);
+        let due = at + d_mac + d_phy + submit;
+        let storm = self.storm(due);
+        self.then(due + storm, PingEvent::RingSubmit { dl_tx, storm })
     }
-}
 
-/// ⑩ The TX ring checks the deadline: on-time samples fly in the assigned
-/// slot; an underrun corrupts it and the block retransmits at the next DL
-/// opportunity the samples can make.
-struct RingHop;
-
-impl Hop for RingHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        _result: &mut ExperimentResult,
-        at: Instant,
-        ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
-        let PingEvent::RingSubmit { dl_tx } = ev else {
-            unreachable!("RingHop consumes RingSubmit")
-        };
-        let storm = std::mem::replace(&mut ctx.pending_storm, Duration::ZERO);
-        let outcome = exp.ring.submit(at, dl_tx);
-        let dl_tx = if outcome.is_on_time() {
+    /// ⑩ The TX ring checks the deadline: on-time samples fly in the
+    /// assigned slot; an underrun corrupts it and the block retransmits at
+    /// the next DL opportunity the samples can make.
+    fn radio_ring(&mut self, at: Instant, dl_tx: Instant, storm: Duration) -> HopOutcome {
+        let exp = &mut *self.exp;
+        let dl_tx = if exp.ring.submit(at, dl_tx).is_on_time() {
             if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, Duration::ZERO);
+                self.ctx.ftrace.record(FaultKind::JitterStorm, Duration::ZERO);
             }
             dl_tx
         } else {
             let retry = exp.timing.next_dl_opportunity(at).tx_start;
             if storm > Duration::ZERO {
-                ctx.ftrace.record(FaultKind::JitterStorm, retry - dl_tx);
+                self.ctx.ftrace.record(FaultKind::JitterStorm, retry - dl_tx);
             }
             retry
         };
-        let air = exp.config.data_air_time(ctx.dl_pdus[0].len());
-        fx.span(Side::Dl, StageSpan::new(labels::DL_DATA, dl_tx, dl_tx + air));
-        ctx.delivery = DeliveryState {
-            dl: true,
-            air,
-            grant_bytes: exp.config.slot_capacity_bytes(),
-            pending: None,
-            recovered: None,
-        };
-        fx.emit(dl_tx + air, PingEvent::AirDeliver);
+        let air = exp.config.data_air_time(self.ctx.dl_pdus[0].len());
+        let grant_bytes = exp.config.slot_capacity_bytes();
+        self.dl(labels::DL_DATA, dl_tx, dl_tx + air);
+        self.ctx.delivery =
+            DeliveryState { dl: true, air, grant_bytes, pending: None, recovered: None };
+        self.then(dl_tx + air, PingEvent::AirDeliver)
     }
-}
 
-/// ⑪ The UE receives the reply, walks it up radio→PHY→RLC→PDCP→SDAP and
-/// decodes the actual bytes; the ping's latencies are recorded here.
-struct UeRxHop;
-
-impl Hop for UeRxHop {
-    fn handle(
-        &self,
-        exp: &mut PingExperiment,
-        ctx: &mut PingCtx,
-        result: &mut ExperimentResult,
-        at: Instant,
-        _ev: PingEvent,
-        fx: &mut HopFx,
-    ) {
+    /// ⑪ The UE receives the reply, walks it up radio→PHY→RLC→PDCP→SDAP
+    /// and decodes the actual bytes; the ping's latencies are recorded
+    /// here.
+    fn ue_rx_up(&mut self, at: Instant) -> HopOutcome {
+        let Walk { exp, ctx, result } = self;
         let ue_rx_radio = exp.ue_radio.rx_radio_latency(ctx.dl_samples as u64, &mut exp.rng_ue);
         let ue_phy = exp.sample_ue(|t| &t.phy);
         let ue_upper =
             exp.sample_ue(|t| &t.rlc) + exp.sample_ue(|t| &t.pdcp) + exp.sample_ue(|t| &t.sdap);
         let delivered = at + ue_rx_radio + ue_phy + ue_upper;
-        fx.span(Side::Dl, StageSpan::new(labels::PHY_UP, at, delivered));
+        ctx.trace.dl.push(StageSpan::new(labels::PHY_UP, at, delivered));
         // Decode the actual bytes (the recovered PDUs when an RLF detour
         // re-established the bearer mid-reply).
         let dl_pdus =
@@ -1320,6 +930,6 @@ impl Hop for UeRxHop {
         let rtt = delivered - ctx.t0;
         result.rtt.record(rtt);
         result.attribution.record_delivered(rtt <= exp.config.deadline, ctx.ftrace.dominant());
-        fx.done();
+        HopOutcome::Done
     }
 }

@@ -140,7 +140,7 @@ impl Telemetry {
     }
 
     /// Journals one Fig-3 journey stage — the span-emission entry point
-    /// used by the stack's telemetry decorator.
+    /// used by the stack's ping driver.
     pub fn journal_stage(
         &self,
         ping: u64,

@@ -146,3 +146,25 @@ fn sub_slot_deadline_fractions_are_sane() {
     assert!(f_1 > 0.9, "ideal DM should be almost always sub-1ms, got {f_1}");
     let _ = res.dl_summary();
 }
+
+#[test]
+fn payload_size_from_config_never_panics() {
+    for access in [AccessMode::GrantBased, AccessMode::GrantFree] {
+        for bytes in [0, 2000] {
+            let mut cfg = StackConfig::testbed_dddu(access, true).with_seed(3);
+            cfg.payload_bytes = bytes;
+            let res = PingExperiment::new(cfg).run(3);
+            assert_eq!(res.integrity_failures, 0, "{access:?} {bytes} B");
+            assert_eq!(res.rtt.count(), 3, "{access:?} {bytes} B: every ping delivered");
+        }
+        // A payload beyond the GTP-U transport MTU cannot cross N3: the
+        // request is counted corrupt at the UPF and the reply never leaves
+        // the core, so every ping is lost (and counted), none panics.
+        let mut cfg = StackConfig::testbed_dddu(access, true).with_seed(3);
+        cfg.payload_bytes = corenet::MAX_PAYLOAD + 1;
+        let res = PingExperiment::new(cfg).run(3);
+        assert_eq!(res.rtt.count(), 0, "{access:?}");
+        assert_eq!(res.attribution.lost, 3, "{access:?}");
+        assert!(res.integrity_failures >= 3, "{access:?}: {}", res.integrity_failures);
+    }
+}

@@ -8,12 +8,15 @@
 //!   1 and 2 workers, because worst-K retention merges under a total
 //!   order;
 //! * the **decomposition** acceptance gate — exemplar hop spans diffed
-//!   against the p50 baseline explain ≥95 % of the tail gap.
+//!   against the p50 baseline explain ≥95 % of the tail gap;
+//! * **hop coverage** — the `repro profile` recipe records a profiler
+//!   stage for every journey hop, so no dispatch arm is dropped or keyed
+//!   under the wrong name.
 
 use proptest::prelude::*;
 use ran::sched::AccessMode;
 use sim::FaultPlan;
-use stack::{run_parallel_profiled, run_parallel_workers, PingExperiment, StackConfig};
+use stack::{run_parallel_profiled, run_parallel_workers, HopId, PingExperiment, StackConfig};
 use telemetry::{Profiler, Telemetry};
 use urllc_core::{decompose_tail, TailBaseline};
 
@@ -106,4 +109,29 @@ fn tail_decomposition_covers_the_gap() {
     let d = decompose_tail(&tel.flight_exemplars(), &baseline);
     assert!(d.coverage >= 0.95, "covered {:.4}", d.coverage);
     assert!(!d.hops.is_empty());
+}
+
+/// The `repro profile` recipe — a chaotic grant-based run plus the
+/// recovery-burst grant-free run — reaches every hop of the journey.
+#[test]
+fn profile_recipe_covers_every_hop() {
+    let prof = Profiler::new();
+    run_parallel_profiled(&chaos_cfg(7, 0.4), 256, 0, None, Some(&prof));
+    let mut recovery = StackConfig::testbed_dddu(AccessMode::GrantFree, true).with_seed(31);
+    recovery.harq_max_tx = 2;
+    recovery.rlc_max_retx = 1;
+    recovery.faults.channel_burst = Some(sim::GilbertElliott {
+        p_enter_bad: 0.3,
+        p_exit_bad: 0.4,
+        loss_good: 0.1,
+        loss_bad: 1.0,
+    });
+    run_parallel_profiled(&recovery, 256, 0, None, Some(&prof));
+    let stages = prof.snapshot();
+    let missing: Vec<&str> = HopId::ALL
+        .iter()
+        .map(|h| h.name())
+        .filter(|name| !stages.iter().any(|s| s.stage == *name))
+        .collect();
+    assert!(missing.is_empty(), "hops without a profiler stage: {missing:?}");
 }
