@@ -1,23 +1,34 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fr2|reliability|design|all [--pings N]
-//! repro metrics [--pings N]          # cross-layer telemetry registry dump
-//! repro trace [--perfetto out.json]  # Perfetto/Chrome trace of the journey
-//! repro <cmd> --jobs N [--compare]   # worker count; --compare also times a
-//!                                    # single-worker reference pass
+//! repro [all|FIGURE] [--pings N] [--jobs N] [--compare] [--perfetto out.json]
+//! repro ratchet [--write]
 //! ```
 //!
-//! Each subcommand prints the regenerated artifact (ASCII) and writes a
-//! CSV/JSON copy under `results/`, plus a machine-readable
-//! `BENCH_repro.json` (per-figure latency quantiles and wall times, with
-//! the worker count used). Simulation sweeps run on the deterministic
-//! work-sharded engine (`sim::parallel`): every artifact is byte-identical
-//! regardless of `--jobs`. Experiment↔module mapping is in DESIGN.md §5;
-//! paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+//! [`FIGURES`] is the one table of figures: each entry's name is its
+//! subcommand and its key in `BENCH_repro.json` and `ci/wall_baseline.json`,
+//! and `repro all` runs every entry in table order. A figure prints its
+//! regenerated artifact (ASCII) and returns the files, latency
+//! distributions and pass/fail checks it produced; the shared runner
+//! (`urllc_bench::registry::run`) writes the files under `results/`, adds
+//! per-figure quantiles and wall times (with the worker count, and under
+//! `--compare` a single-worker reference time) to `BENCH_repro.json`, and
+//! prints each check as its `YES`/`NO` line. `ratchet` judges the last
+//! run's wall times against `ci/wall_baseline.json` (`--write` refreshes it).
+//!
+//! Exit status: 0 on success; 1 when any check reads NO or any artifact
+//! fails to write (after every requested figure has run); 2, with the
+//! usage generated from the table, for an unknown subcommand or flag, a
+//! flag missing its value, or a malformed `--pings`/`--jobs` value.
+//!
+//! Simulation sweeps run on the deterministic work-sharded engine
+//! (`sim::parallel`): every artifact is byte-identical regardless of
+//! `--jobs`. Experiment↔module mapping is in DESIGN.md §5; paper-vs-measured
+//! numbers are recorded in EXPERIMENTS.md.
 
 use std::env;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::fmt::Write as _;
+use std::path::Path;
 
 use radio::{InterfaceKind, RadioHead, RadioHeadConfig};
 use ran::sched::AccessMode;
@@ -28,150 +39,72 @@ use stack::{
     PingExperiment, StackConfig,
 };
 use urllc_bench::ratchet::{parse_walls, RatchetBaseline, Tolerance, WallEntry};
-use urllc_bench::report::{
-    ascii_histogram, ascii_series, bench_json, bench_log, bench_records_len, bench_truncate,
-    bench_wall, summarize_chaos_recovery, to_csv, write_artifact,
-};
+use urllc_bench::registry::{self, usage, Artifacts, Cli, Ctx, Figure};
+use urllc_bench::report::{ascii_histogram, ascii_series, to_csv};
 use urllc_core::feasibility::{feasibility_table, paper_table1};
 use urllc_core::model::{ConfigUnderTest, ProcessingBudget};
 use urllc_core::reliability::{margin_sweep, min_margin_for};
 use urllc_core::worst_case::{worst_case, Direction};
 use urllc_core::DesignSearch;
 
-/// Worker count the run was asked for (recorded in `BENCH_repro.json`).
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-/// Whether to also time a single-worker reference pass per subcommand.
-static COMPARE: AtomicBool = AtomicBool::new(false);
+/// Builds the figure table; each figure's name is its function's name.
+macro_rules! figures {
+    ($($run:ident: $title:literal,)*) => {
+        &[$(Figure { name: stringify!($run), title: $title, run: $run },)*]
+    };
+}
+
+/// Every figure `repro` regenerates, in `repro all` order.
+const FIGURES: &[Figure] = figures![
+    table1: "Table 1 — 0.5 ms feasibility of minimal configurations",
+    table2: "Table 2 — gNB layer processing and queuing time",
+    fig1: "Fig 1 — TDD configuration types",
+    fig2: "Fig 2 — journey of a ping request",
+    fig3: "Fig 3 — system-level latency breakdown (testbed DDDU)",
+    fig4: "Fig 4 — worst-case latency, DM configuration",
+    fig5: "Fig 5 — radio sample-submission latency (OS + hardware)",
+    fig6: "Fig 6 — one-way latency distributions (testbed DDDU)",
+    fr2: "X1 — FR2 mmWave sub-ms fraction under blockage",
+    reliability: "X2 — scheduler margin vs radio reliability",
+    design: "Design-space search (§5): feasible URLLC systems",
+    formats: "X3 — slot-format survey (TS 38.213 formats, repeated each slot)",
+    scale: "X4 — uplink latency and resource waste vs UE population (§9)",
+    multicell: "X13 — multi-cell deadline misses at city scale",
+    harq: "X5 — HARQ retransmission steps under channel loss",
+    rach: "X6 — random-access contention vs population",
+    sixg: "X7 — the 6G 0.1 ms one-way target",
+    coexist: "X8 — URLLC downlink latency under eMBB load",
+    sched: "X14 — scheduler/slicing laboratory",
+    chaos: "Chaos — deadline misses under fault injection (intensity × margin)",
+    recovery: "Recovery — RLF re-establishment and GTP-U path supervision",
+    overload: "Overload — offered-load ladder with typed drops and degradation",
+    handover: "Handover — mobility sweep with Xn forwarding and fault taxonomy",
+    metrics: "Metrics — cross-layer telemetry registry (instrumented chaotic run)",
+    trace: "Trace — Perfetto/Chrome trace-event export of the ping journey",
+    profile: "Profile — per-hop wall-time profiler + tail-forensics flight recorder",
+];
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let pings: u64 = args
-        .iter()
-        .position(|a| a == "--pings")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000);
-
-    let perfetto_out =
-        args.iter().position(|a| a == "--perfetto").and_then(|i| args.get(i + 1)).cloned();
-
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(sim::parallel::jobs);
-    sim::parallel::set_jobs(jobs);
-    JOBS.store(jobs, Ordering::Relaxed);
-    COMPARE.store(args.iter().any(|a| a == "--compare"), Ordering::Relaxed);
-
-    match cmd {
-        "table1" => timed("table1", table1),
-        "table2" => timed("table2", || table2(pings)),
-        "fig1" => timed("fig1", fig1),
-        "fig2" => timed("fig2", fig2),
-        "fig3" => timed("fig3", fig3),
-        "fig4" => timed("fig4", fig4),
-        "fig5" => timed("fig5", fig5),
-        "fig6" => timed("fig6", || fig6(pings)),
-        "fr2" => timed("fr2", fr2),
-        "reliability" => timed("reliability", reliability),
-        "design" => timed("design", design),
-        "formats" => timed("formats", formats),
-        "scale" => timed("scale", scale),
-        "multicell" => timed("multicell", multicell),
-        "harq" => timed("harq", || harq(pings)),
-        "rach" => timed("rach", rach),
-        "sixg" => timed("sixg", sixg),
-        "coexist" => timed("coexist", coexist),
-        "sched" => timed("sched", sched),
-        "chaos" => timed("chaos", || chaos(pings)),
-        "recovery" => timed("recovery", || recovery(pings)),
-        "overload" => timed("overload", overload),
-        "handover" => timed("handover", handover),
-        "metrics" => timed("metrics", || metrics(pings)),
-        "trace" => timed("trace", || trace(pings, perfetto_out.clone())),
-        "profile" => timed("profile", || profile(pings)),
-        "ratchet" => {
-            // The gating check reads the BENCH of a *previous* run; it
-            // must not clobber that document with its own (empty) log.
-            ratchet_cmd(args.iter().any(|a| a == "--write"));
-            return;
-        }
-        "all" => {
-            timed("table1", table1);
-            timed("table2", || table2(pings));
-            timed("fig1", fig1);
-            timed("fig2", fig2);
-            timed("fig3", fig3);
-            timed("fig4", fig4);
-            timed("fig5", fig5);
-            timed("fig6", || fig6(pings));
-            timed("fr2", fr2);
-            timed("reliability", reliability);
-            timed("design", design);
-            timed("formats", formats);
-            timed("scale", scale);
-            timed("multicell", multicell);
-            timed("harq", || harq(pings));
-            timed("rach", rach);
-            timed("sixg", sixg);
-            timed("coexist", coexist);
-            timed("sched", sched);
-            timed("chaos", || chaos(pings));
-            timed("recovery", || recovery(pings));
-            timed("overload", overload);
-            timed("handover", handover);
-            timed("metrics", || metrics(pings));
-            timed("trace", || trace(pings, perfetto_out.clone()));
-            timed("profile", || profile(pings));
-        }
-        other => {
-            eprintln!("unknown subcommand `{other}`");
-            eprintln!("usage: repro table1|table2|fig1..fig6|fr2|reliability|design|formats|scale|multicell|harq|rach|sixg|coexist|sched|chaos|recovery|overload|handover|metrics|trace|profile|ratchet|all [--pings N] [--perfetto out.json] [--jobs N] [--compare] [--write]");
-            std::process::exit(2);
-        }
+    let cli = Cli::parse(&args, FIGURES).unwrap_or_else(|e| {
+        eprint!("{e}\n{}", usage(FIGURES));
+        std::process::exit(2)
+    });
+    if cli.cmd == "ratchet" {
+        // The gating check reads the BENCH of a *previous* run; it must
+        // not clobber that document with its own (empty) log.
+        ratchet_cmd(cli.write);
+        return;
     }
-    save("BENCH_repro.json", &bench_json());
-}
-
-/// Runs one subcommand, logging its wall time (and worker count) for
-/// `BENCH_repro.json`. With `--compare`, the subcommand first runs once at
-/// a single worker as the timing reference; its duplicate distribution
-/// records are dropped, and — by the determinism contract — its artifacts
-/// are byte-identical to the parallel pass that overwrites them.
-fn timed(name: &str, f: impl Fn()) {
-    let jobs = JOBS.load(Ordering::Relaxed);
-    let seq_ms = if COMPARE.load(Ordering::Relaxed) && jobs > 1 {
-        let mark = bench_records_len();
-        sim::parallel::set_jobs(1);
-        let t = std::time::Instant::now();
-        f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        sim::parallel::set_jobs(jobs);
-        bench_truncate(mark);
-        Some(ms)
-    } else {
-        None
-    };
-    let t = std::time::Instant::now();
-    f();
-    bench_wall(name, t.elapsed().as_secs_f64() * 1e3, jobs, seq_ms);
-}
-
-fn banner(s: &str) {
-    println!("\n==================== {s} ====================");
+    let selected: Vec<&Figure> =
+        FIGURES.iter().filter(|f| cli.cmd == "all" || f.name == cli.cmd).collect();
+    std::process::exit(registry::run(&selected, &cli, Path::new("results")));
 }
 
 /// Table 1: feasibility of the 0.5 ms deadline across minimal configs.
-fn table1() {
-    banner("Table 1 — 0.5 ms feasibility of minimal configurations");
+fn table1(_: &Ctx) -> Artifacts {
     let table = feasibility_table(&ProcessingBudget::zero());
     print!("{}", table.render());
-    let matches = table.verdicts() == paper_table1();
-    println!("matches the published Table 1: {}", if matches { "YES" } else { "NO" });
     let rows: Vec<Vec<String>> = table
         .cells
         .iter()
@@ -184,15 +117,16 @@ fn table1() {
             ]
         })
         .collect();
-    save("table1.csv", &to_csv(&["direction", "config", "worst_case_us", "feasible"], &rows));
+    Artifacts::default()
+        .file("table1.csv", to_csv("direction,config,worst_case_us,feasible", &rows))
+        .verdict("matches the published Table 1", table.verdicts() == paper_table1())
 }
 
 /// Table 2: gNB per-layer processing/queuing times from the testbed sim.
-fn table2(pings: u64) {
-    banner("Table 2 — gNB layer processing and queuing time");
+fn table2(ctx: &Ctx) -> Artifacts {
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(42);
-    let mut res = stack::run_parallel(&cfg, pings);
-    bench_log("table2", "rtt", &mut res.rtt);
+    let mut res = stack::run_parallel(&cfg, ctx.pings);
+    let art = Artifacts::default().dist("rtt", &mut res.rtt);
     let paper = [
         ("SDAP", 4.65, 6.71),
         ("PDCP", 8.29, 8.99),
@@ -224,16 +158,12 @@ fn table2(pings: u64) {
             format!("{ps:.2}"),
         ]);
     }
-    println!("({} pings; integrity failures: {})", pings, res.integrity_failures);
-    save(
-        "table2.csv",
-        &to_csv(&["layer", "mean_us", "std_us", "paper_mean_us", "paper_std_us"], &rows),
-    );
+    println!("({} pings; integrity failures: {})", ctx.pings, res.integrity_failures);
+    art.file("table2.csv", to_csv("layer,mean_us,std_us,paper_mean_us,paper_std_us", &rows))
 }
 
 /// Fig 1: the three TDD configuration taxonomies, as slot diagrams.
-fn fig1() {
-    banner("Fig 1 — TDD configuration types");
+fn fig1(_: &Ctx) -> Artifacts {
     let dddu = phy::TddConfig::dddu_testbed();
     println!(
         "(a) Common Configuration   pattern {} @ {} slots:",
@@ -262,11 +192,11 @@ fn fig1() {
         let f = phy::SlotFormat::by_index(idx).expect("format in table");
         println!("    format {:>2}: {}", f.index, f.letters());
     }
+    Artifacts::default()
 }
 
 /// Fig 2: the journey of a ping request, narrated from a real trace.
-fn fig2() {
-    banner("Fig 2 — journey of a ping request");
+fn fig2(_: &Ctx) -> Artifacts {
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(7);
     let mut exp = PingExperiment::new(cfg);
     let res = exp.run(1);
@@ -278,20 +208,20 @@ fn fig2() {
     for (i, s) in t.dl.iter().enumerate() {
         println!("  DL step {:>2}: {:<14} {:>9}", i + 1, s.label, format!("{}", s.duration()));
     }
+    Artifacts::default()
 }
 
 /// Fig 3: the system-level latency timeline of one ping.
-fn fig3() {
-    banner("Fig 3 — system-level latency breakdown (testbed DDDU)");
+fn fig3(_: &Ctx) -> Artifacts {
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(3);
     let mut exp = PingExperiment::new(cfg);
     let res = exp.run(1);
     print!("{}", res.traces[0].render());
+    Artifacts::default()
 }
 
 /// Fig 4: worst-case timelines for the DM configuration.
-fn fig4() {
-    banner("Fig 4 — worst-case latency, DM configuration");
+fn fig4(_: &Ctx) -> Artifacts {
     let dm = ConfigUnderTest::TddCommon(phy::TddConfig::dm_minimal());
     for dir in Direction::TABLE1_ROWS {
         let wc = worst_case(&dm, dir, &ProcessingBudget::zero());
@@ -305,11 +235,11 @@ fn fig4() {
             println!("    {:<16} at {:>10}", e.label, format!("{:?}", e.at));
         }
     }
+    Artifacts::default()
 }
 
 /// Fig 5: sample-submission latency vs number of samples, USB2 vs USB3.
-fn fig5() {
-    banner("Fig 5 — radio sample-submission latency (OS + hardware)");
+fn fig5(_: &Ctx) -> Artifacts {
     // One shard per (interface, sample-count) point, each with its own head
     // and an RNG stream keyed by the point — the sweep is bit-identical at
     // any worker count.
@@ -350,18 +280,17 @@ fn fig5() {
             60
         )
     );
-    save("fig5.csv", &to_csv(&["interface", "samples", "latency_us"], &rows));
+    Artifacts::default().file("fig5.csv", to_csv("interface,samples,latency_us", &rows))
 }
 
 /// Fig 6: one-way latency distributions, grant-based vs grant-free.
-fn fig6(pings: u64) {
-    banner("Fig 6 — one-way latency distributions (testbed DDDU)");
-    let mut rows = Vec::new();
+fn fig6(ctx: &Ctx) -> Artifacts {
+    let (mut art, mut rows) = (Artifacts::default(), Vec::new());
     for (panel, access) in
         [("(a) grant-based", AccessMode::GrantBased), ("(b) grant-free", AccessMode::GrantFree)]
     {
         let cfg = StackConfig::testbed_dddu(access, true).with_seed(6);
-        let mut res = stack::run_parallel(&cfg, pings);
+        let mut res = stack::run_parallel(&cfg, ctx.pings);
         for (dirname, rec) in [("Downlink", &res.dl), ("Uplink", &res.ul)] {
             let h = rec.histogram_ms(0.0, 8.0, 40);
             let pairs: Vec<(f64, f64)> = h.probabilities().collect();
@@ -377,8 +306,9 @@ fn fig6(pings: u64) {
             AccessMode::GrantBased => "grant_based",
             AccessMode::GrantFree => "grant_free",
         };
-        bench_log("fig6", &format!("ul_{suffix}"), &mut res.ul);
-        bench_log("fig6", &format!("dl_{suffix}"), &mut res.dl);
+        art = art
+            .dist(&format!("ul_{suffix}"), &mut res.ul)
+            .dist(&format!("dl_{suffix}"), &mut res.dl);
         let ul = res.ul_summary();
         let dl = res.dl_summary();
         println!(
@@ -387,12 +317,11 @@ fn fig6(pings: u64) {
             dl.mean_us / 1_000.0
         );
     }
-    save("fig6.csv", &to_csv(&["panel", "direction", "latency_ms", "probability"], &rows));
+    art.file("fig6.csv", to_csv("panel,direction,latency_ms,probability", &rows))
 }
 
 /// Extension X1: the mmWave (FR2) blockage study.
-fn fr2() {
-    banner("X1 — FR2 mmWave sub-ms fraction under blockage");
+fn fr2(_: &Ctx) -> Artifacts {
     let busy = urllc_bench::fr2_study(channel::Fr2LinkConfig::busy_indoor(), 50_000, 1);
     let clear = urllc_bench::fr2_study(channel::Fr2LinkConfig::clear_static(), 50_000, 1);
     println!(
@@ -408,11 +337,11 @@ fn fr2() {
         clear.p99_us / 1_000.0
     );
     println!("(paper cites 4.4 % sub-ms for deployed mmWave — the busy-indoor regime)");
+    Artifacts::default()
 }
 
 /// Extension X2: scheduler margin vs reliability (§6).
-fn reliability() {
-    banner("X2 — scheduler margin vs radio reliability");
+fn reliability(_: &Ctx) -> Artifacts {
     let margins: Vec<Duration> = (4..=24).map(|i| Duration::from_micros(i * 50)).collect();
     for (name, cfg, prep) in [
         ("USRP B210 / USB3 / GP kernel", RadioHeadConfig::usrp_b210(true), 100u64),
@@ -433,29 +362,29 @@ fn reliability() {
             None => println!("  five-nines margin: beyond swept range"),
         }
     }
+    Artifacts::default()
 }
 
 /// §5 design-space search.
-fn design() {
-    banner("Design-space search (§5): feasible URLLC systems");
+fn design(_: &Ctx) -> Artifacts {
     let s = DesignSearch::run();
     print!("{}", s.render_feasible());
+    Artifacts::default()
 }
 
 /// Extension X3: slot-format survey (standard formats repeated per slot).
-fn formats() {
-    banner("X3 — slot-format survey (TS 38.213 formats, repeated each slot)");
+fn formats(_: &Ctx) -> Artifacts {
     let survey = urllc_core::format_survey(&ProcessingBudget::zero());
     print!("{}", urllc_core::formats::render_survey(&survey));
     println!(
         "(standard-defined per-slot D…U layouts reach mini-slot-class latency; \
          the cost is UL symbols reserved in every slot — the §9 efficiency trade)"
     );
+    Artifacts::default()
 }
 
 /// Extension X4: multi-UE uplink scalability (§9).
-fn scale() {
-    banner("X4 — uplink latency and resource waste vs UE population (§9)");
+fn scale(_: &Ctx) -> Artifacts {
     let populations = [1usize, 4, 16, 48, 96, 192];
     let mut rows = Vec::new();
     println!(
@@ -494,15 +423,14 @@ fn scale() {
          grant queue itself saturates (~3.5 grants/ms here) and collapses. At low\n\
          load most grant-free allocations sit idle — the §5/§9 trade, quantified.)"
     );
-    save("scale.csv", &to_csv(&["ues", "gf_mean_ms", "gb_mean_ms", "gf_waste"], &rows));
+    Artifacts::default().file("scale.csv", to_csv("ues,gf_mean_ms,gb_mean_ms,gf_waste", &rows))
 }
 
 /// Extension X13: city-scale multi-cell sweep (ROADMAP item 1). Cells ×
 /// per-cell population up to 10⁶ total UEs; every point runs the
 /// dense-urban mix (2 % URLLC / 10 % video / 88 % sensors, every fourth
 /// cell a 2× hotspot) with one shard per cell and fixed-memory recording.
-fn multicell() {
-    banner("X13 — multi-cell deadline misses at city scale");
+fn multicell(_: &Ctx) -> Artifacts {
     let points: [(usize, u64); 3] = [(4, 250), (8, 12_500), (16, 62_500)];
     let mut rows: Vec<Vec<String>> = Vec::new();
     println!(
@@ -587,31 +515,13 @@ fn multicell() {
          while the 2x hotspots shed their best-effort classes wholesale, and\n\
          only the population-inflated decode cost moves the aggregate p50)"
     );
-    save(
-        "multicell.csv",
-        &to_csv(
-            &[
-                "cells",
-                "ues_per_cell",
-                "total_ues",
-                "cell",
-                "class",
-                "ues",
-                "offered",
-                "p50_ms",
-                "p99_ms",
-                "p999_ms",
-                "miss_rate",
-                "peak_queue",
-            ],
-            &rows,
-        ),
-    );
+    let header = "cells,ues_per_cell,total_ues,cell,class,ues,offered,\
+                  p50_ms,p99_ms,p999_ms,miss_rate,peak_queue";
+    Artifacts::default().file("multicell.csv", to_csv(header, &rows))
 }
 
 /// Extension X5: HARQ retransmission steps under channel loss (§8).
-fn harq(pings: u64) {
-    banner("X5 — HARQ retransmission steps under channel loss");
+fn harq(ctx: &Ctx) -> Artifacts {
     let rtt = ran::harq::harq_round_trip(
         &StackConfig::testbed_dddu(AccessMode::GrantFree, true).duplex,
         false,
@@ -625,7 +535,7 @@ fn harq(pings: u64) {
     ] {
         let mut cfg = StackConfig::testbed_dddu(AccessMode::GrantFree, true).with_seed(13);
         cfg.link = link;
-        let mut res = stack::run_parallel(&cfg, pings);
+        let mut res = stack::run_parallel(&cfg, ctx.pings);
         let s = res.ul_summary();
         println!(
             "{name:<12} UL mean {:>7.2} ms  p99 {:>7.2} ms  max {:>7.2} ms  harq retx {:>5}  failures {:>3}",
@@ -637,11 +547,11 @@ fn harq(pings: u64) {
         );
     }
     println!("(latency climbs in round-trip quanta — the §8 \"steps of 0.5 ms\" effect, at\n this pattern's quantum)");
+    Artifacts::default()
 }
 
 /// Extension X6: RACH contention — the latency cliff past SR failure (§9).
-fn rach() {
-    banner("X6 — random-access contention vs population");
+fn rach(_: &Ctx) -> Artifacts {
     let cfg = ran::RachConfig::default();
     println!(
         "collision-free RACH worst case: {}  (vs the 0.5 ms URLLC budget)",
@@ -663,11 +573,11 @@ fn rach() {
         );
     }
     println!("(even collision-free random access is ~an order of magnitude past 0.5 ms —\n why the SR budget matters, and why bursts push it further)");
+    Artifacts::default()
 }
 
 /// Extension X7: the 6G target (0.1 ms one-way, §1) across numerologies.
-fn sixg() {
-    banner("X7 — the 6G 0.1 ms one-way target");
+fn sixg(_: &Ctx) -> Artifacts {
     use phy::mini_slot::{MiniSlotConfig, MiniSlotLen};
     use phy::Numerology;
     let deadline = Duration::from_micros(100);
@@ -702,11 +612,11 @@ fn sixg() {
          scheduling get there in protocol terms — and §5 already showed FR2's\n\
          reliability problem. The 6G target squeezes from both sides.)"
     );
+    Artifacts::default()
 }
 
 /// Extension X8: URLLC/eMBB coexistence policies.
-fn coexist() {
-    banner("X8 — URLLC downlink latency under eMBB load");
+fn coexist(_: &Ctx) -> Artifacts {
     use stack::coexistence_sweep;
     let loads = [0.0, 0.3, 0.6, 0.85, 0.95];
     // Below this eMBB load the leftover capacity still fits one URLLC
@@ -731,13 +641,13 @@ fn coexist() {
         );
     }
     println!("(queueing behind eMBB erodes the URLLC budget as the cell fills; preemption\n keeps URLLC flat and bills eMBB instead — the §1 coexistence literature's trade)");
+    Artifacts::default()
 }
 
 /// Extension X14: the scheduler/slicing laboratory — the SimURLLC policy
 /// set (FCFS, priority ± preemption, round-robin, EDF ± preemption,
 /// slice-aware) over load × slice-mix, one shard per point.
-fn sched() {
-    banner("X14 — scheduler/slicing laboratory");
+fn sched(_: &Ctx) -> Artifacts {
     use stack::{run_sched_lab, SchedLabConfig};
     let cfg = SchedLabConfig::simurllc(23);
     let pts = run_sched_lab(&cfg);
@@ -758,42 +668,29 @@ fn sched() {
             ]);
         }
     }
-    save(
-        "sched.csv",
-        &to_csv(
-            &[
-                "policy",
-                "load",
-                "mix",
-                "class",
-                "count",
-                "p50_us",
-                "p99_us",
-                "p999_us",
-                "miss_rate",
-                "punctured_bytes",
-            ],
-            &rows,
-        ),
-    );
-    // Console digest: URLLC under the factory mix at the saturating load.
+    let header = "policy,load,mix,class,count,p50_us,p99_us,p999_us,miss_rate,punctured_bytes";
+    let csv = to_csv(header, &rows);
+    // Console digest, printed after the saved CSV: URLLC under the factory
+    // mix at the saturating load.
     let top_load = cfg.loads.iter().copied().fold(0.0f64, f64::max);
-    println!(
-        "{:>24} {:>10} {:>10} {:>10} {:>10}",
+    let mut digest = format!(
+        "{:>24} {:>10} {:>10} {:>10} {:>10}\n",
         "policy (factory, peak)", "p50 [us]", "p99 [us]", "p999 [us]", "miss"
     );
     for p in pts.iter().filter(|p| p.mix == "factory" && p.load == top_load) {
         if let Some(c) = p.classes.iter().find(|c| c.class == "urllc") {
-            println!(
+            let _ = writeln!(
+                digest,
                 "{:>24} {:>10.1} {:>10.1} {:>10.1} {:>10.4}",
                 p.policy, c.p50_us, c.p99_us, c.p999_us, c.miss_rate
             );
         }
     }
-    println!(
+    digest.push_str(
         "(same arrival trace under every policy: preemptive puncturing holds the URLLC\n \
-         tail flat while every queueing policy lets backlog eat the 2.5 ms budget)"
+         tail flat while every queueing policy lets backlog eat the 2.5 ms budget)\n",
     );
+    Artifacts::default().file("sched.csv", csv).footer(digest)
 }
 
 /// Chaos reliability sweep: deadline-miss probability under the unified
@@ -801,13 +698,15 @@ fn sched() {
 /// first-order cross-check against [`urllc_core::reliability::ChaosMissModel`]
 /// and a byte-identity check of the intensity-0 column against the fault-free
 /// baseline.
-fn chaos(pings: u64) {
-    banner("Chaos — deadline misses under fault injection (intensity × margin)");
-    let n = (pings / 5).max(200);
+fn chaos(ctx: &Ctx) -> Artifacts {
+    let n = (ctx.pings / 5).max(200);
     let intensities = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let margins: [u64; 3] = [1, 2, 3];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut monotone = true;
+    let mut art = Artifacts::default();
+    let (mut monotone, mut identical) = (true, false);
+    // Sweep-wide recovery: re-established pings, worst cell p50 / p99.
+    let (mut recovered, mut worst_p50, mut worst_p99) = (0u64, 0.0f64, 0.0f64);
     for &m in &margins {
         let mut base_cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(6);
         base_cfg.sched_lead = base_cfg.duplex.slot_duration() * m;
@@ -830,14 +729,10 @@ fn chaos(pings: u64) {
                     // Identity check against a run of the untouched config —
                     // before fraction_within() below sorts the recorder.
                     let plain_res = stack::run_parallel(&base_cfg, n);
-                    let identical = plain_res.rtt.samples_us() == res.rtt.samples_us()
+                    identical = plain_res.rtt.samples_us() == res.rtt.samples_us()
                         && plain_res.ul.samples_us() == res.ul.samples_us()
                         && plain_res.dl.samples_us() == res.dl.samples_us()
                         && res.attribution.is_fault_free();
-                    println!(
-                        "intensity 0 reproduces the fault-free baseline byte for byte: {}",
-                        if identical { "YES" } else { "NO" }
-                    );
                 }
                 // Fraction of baseline pings one pattern-period of extra
                 // protocol delay (SR retry, withheld grant) would push late.
@@ -857,11 +752,13 @@ fn chaos(pings: u64) {
                 protocol_miss: (p_protocol * shift_window).min(1.0),
             };
             let mean_rtt_ms = res.rtt.summary().mean_us / 1000.0;
-            bench_log("chaos", &format!("rtt_m{m}_i{intensity}"), &mut res.rtt);
+            art = art.dist(&format!("rtt_m{m}_i{intensity}"), &mut res.rtt);
             let (rec_p50, rec_p99) = (
                 res.recovery.try_quantile_us(0.5).unwrap_or(0.0),
                 res.recovery.try_quantile_us(0.99).unwrap_or(0.0),
             );
+            recovered += res.recovered;
+            (worst_p50, worst_p99) = (worst_p50.max(rec_p50), worst_p99.max(rec_p99));
             println!(
                 "margin {m} slots  intensity {intensity:>4.2}: miss {miss:.4} (model {:.4})  \
                  on-time {:>4} late {:>3} lost {:>3}  rlf {:>2} recovered {:>2}  \
@@ -895,44 +792,24 @@ fn chaos(pings: u64) {
         }
     }
     println!(
-        "miss probability monotone in intensity at every margin: {}",
-        if monotone { "YES" } else { "NO" }
+        "recovery across the sweep: {recovered} pings delivered via re-establishment \
+         ({} cells); worst cell p50 {worst_p50:.0} µs, p99 {worst_p99:.0} µs",
+        rows.len()
     );
-    let csv = to_csv(
-        &[
-            "intensity",
-            "margin_slots",
-            "margin_us",
-            "pings",
-            "miss_prob",
-            "model_miss",
-            "on_time",
-            "late",
-            "lost",
-            "rlf",
-            "sr_retx",
-            "rach_recoveries",
-            "grants_withheld",
-            "mean_rtt_ms",
-            "recovered",
-            "recovery_p50_us",
-            "recovery_p99_us",
-        ],
-        &rows,
-    );
-    if let Some(s) = summarize_chaos_recovery(&csv) {
-        print!("{}", s.render());
-    }
-    save("chaos.csv", &csv);
+    let header = "intensity,margin_slots,margin_us,pings,miss_prob,model_miss,on_time,late,lost,\
+                  rlf,sr_retx,rach_recoveries,grants_withheld,mean_rtt_ms,recovered,\
+                  recovery_p50_us,recovery_p99_us";
+    art.file("chaos.csv", to_csv(header, &rows))
+        .verdict("intensity 0 reproduces the fault-free baseline byte for byte", identical)
+        .verdict("miss probability monotone in intensity at every margin", monotone)
 }
 
 /// Recovery study: RRC re-establishment after RLF under a seeded burst
 /// plan, cross-checked against the closed-form
 /// [`urllc_core::RecoveryLatencyModel`], plus GTP-U path supervision
 /// failing over the N3 backbone.
-fn recovery(pings: u64) {
-    banner("Recovery — RLF re-establishment and GTP-U path supervision");
-    let n = (pings / 10).max(200);
+fn recovery(ctx: &Ctx) -> Artifacts {
+    let n = (ctx.pings / 10).max(200);
 
     // (a) A burst-loss plan harsh enough to force RLF: HARQ and RLC
     // budgets small, long deep fades.
@@ -965,8 +842,7 @@ fn recovery(pings: u64) {
         unrecovered,
         res.integrity_failures
     );
-    bench_log("recovery", "rtt", &mut res.rtt);
-    bench_log("recovery", "detour", &mut res.recovery);
+    let art = Artifacts::default().dist("rtt", &mut res.rtt).dist("detour", &mut res.recovery);
     let p50 = res.recovery.try_quantile_us(0.5).unwrap_or(0.0);
     let p99 = res.recovery.try_quantile_us(0.99).unwrap_or(0.0);
     let max = if res.recovery.count() > 0 { res.recovery.summary().max_us } else { 0.0 };
@@ -979,10 +855,6 @@ fn recovery(pings: u64) {
     );
     let bound_us = model.worst_case_any().as_micros_f64();
     let bounded = res.recovery.samples_us().iter().all(|&us| us <= bound_us);
-    println!(
-        "every simulated detour within the closed form: {}",
-        if bounded { "YES" } else { "NO" }
-    );
 
     // (b) N3 path outages: supervision detects, fails over, restores.
     let mut path_cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(10);
@@ -1024,7 +896,8 @@ fn recovery(pings: u64) {
         vec!["sim_path_probes_sent".into(), path_res.path_probes.0.to_string()],
         vec!["sim_path_probes_lost".into(), path_res.path_probes.1.to_string()],
     ];
-    save("recovery.csv", &to_csv(&["quantity", "value"], &rows));
+    art.file("recovery.csv", to_csv("quantity,value", &rows))
+        .verdict("every simulated detour within the closed form", bounded)
 }
 
 /// `repro overload` — the open-loop offered-load ladder: Poisson and bursty
@@ -1033,8 +906,7 @@ fn recovery(pings: u64) {
 /// point-indexed RNG stream, so `overload.csv` is byte-identical at any
 /// `--jobs`. Sub-saturation Poisson points are cross-checked against the
 /// closed-form M/D/1 mean queueing wait.
-fn overload() {
-    banner("Overload — offered-load ladder with typed drops and degradation");
+fn overload(_: &Ctx) -> Artifacts {
     let stack = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(11);
     let wire = stack.payload_bytes + 3; // + PDCP (2) + RLC (1) headers
     let mu = service_capacity_pps(&stack, wire);
@@ -1073,38 +945,12 @@ fn overload() {
         }
     });
 
-    let mut header: Vec<String> = [
-        "process",
-        "slo",
-        "rho",
-        "offered_pps",
-        "offered",
-        "delivered",
-        "goodput",
-        "miss_rate",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "mean_queue_us",
-        "md1_wq_us",
-        "in_band",
-        "in_flight",
-    ]
-    .map(String::from)
-    .to_vec();
-    header.extend(DropReason::ALL.map(|r| format!("drop_{}", r.label().replace('-', "_"))));
-    header.extend(
-        [
-            "peak_pdcp_pkts",
-            "peak_rlc_bytes",
-            "peak_harq_tbs",
-            "degraded_frac",
-            "critical_frac",
-            "slo_transitions",
-            "embb_sent_bytes",
-            "embb_shed_bytes",
-        ]
-        .map(String::from),
+    let drops = DropReason::ALL.map(|r| format!("drop_{}", r.label().replace('-', "_")));
+    let header = format!(
+        "process,slo,rho,offered_pps,offered,delivered,goodput,miss_rate,p50_us,p99_us,p999_us,\
+         mean_queue_us,md1_wq_us,in_band,in_flight,{},peak_pdcp_pkts,peak_rlc_bytes,\
+         peak_harq_tbs,degraded_frac,critical_frac,slo_transitions,embb_sent_bytes,embb_shed_bytes",
+        drops.join(",")
     );
 
     println!(
@@ -1189,20 +1035,14 @@ fn overload() {
         ]);
         rows.push(row);
     }
-    println!(
-        "sub-saturation Poisson mean waits inside the M/D/1 band: {}",
-        if md1_violations == 0 { "YES" } else { "NO" }
-    );
     let governed_engaged = points
         .iter()
         .zip(&reports)
         .any(|((_, slo, rho), (r, _))| *slo && *rho > 1.0 && r.degraded_slots > 0);
-    println!(
-        "SLO supervisor engaged past saturation: {}",
-        if governed_engaged { "YES" } else { "NO" }
-    );
-    let headers: Vec<&str> = header.iter().map(String::as_str).collect();
-    save("overload.csv", &to_csv(&headers, &rows));
+    Artifacts::default()
+        .file("overload.csv", to_csv(&header, &rows))
+        .verdict("sub-saturation Poisson mean waits inside the M/D/1 band", md1_violations == 0)
+        .verdict("SLO supervisor engaged past saturation", governed_engaged)
 }
 
 /// `repro handover` — the mobility chaos sweep: UE speed × A3
@@ -1211,8 +1051,7 @@ fn overload() {
 /// closed-form interruption model: packet conservation always, zero loss
 /// and in-order delivery on the fault-free plans, and every interruption
 /// window under `HandoverInterruptionModel::worst_case`.
-fn handover() {
-    banner("Handover — mobility sweep with Xn forwarding and fault taxonomy");
+fn handover(_: &Ctx) -> Artifacts {
     let base = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(17);
     let model = urllc_core::HandoverInterruptionModel::from_config(&base);
     let bound_us = model.worst_case().as_micros_f64();
@@ -1248,28 +1087,9 @@ fn handover() {
         run_mobility(&cfg, None)
     });
 
-    let header = [
-        "speed_mps",
-        "ttt_ms",
-        "plan",
-        "offered",
-        "delivered",
-        "in_flight",
-        "drops",
-        "out_of_order",
-        "handovers",
-        "completed",
-        "too_late",
-        "too_early",
-        "ping_pongs",
-        "forwarding_losses",
-        "interruption_p50_us",
-        "interruption_p99_us",
-        "interruption_max_us",
-        "bound_us",
-        "latency_p50_us",
-        "latency_p99_us",
-    ];
+    let header = "speed_mps,ttt_ms,plan,offered,delivered,in_flight,drops,out_of_order,handovers,\
+                  completed,too_late,too_early,ping_pongs,forwarding_losses,interruption_p50_us,\
+                  interruption_p99_us,interruption_max_us,bound_us,latency_p50_us,latency_p99_us";
     println!(
         "{:>6} {:>6} {:>6} {:>8} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>10} {:>10}",
         "speed",
@@ -1340,27 +1160,23 @@ fn handover() {
             format!("{lat_p99:.1}"),
         ]);
     }
-    assert_eq!(bound_violations, 0, "interruption windows exceeded the closed-form bound");
-    println!("every interruption window within the closed-form bound: YES");
-    println!(
-        "all four failure modes observed under chaos: {}",
-        if chaos_tally.iter().all(|&n| n > 0) { "YES" } else { "NO" }
-    );
-    save("handover.csv", &to_csv(&header, &rows));
+    Artifacts::default()
+        .file("handover.csv", to_csv(header, &rows))
+        .verdict("every interruption window within the closed-form bound", bound_violations == 0)
+        .verdict("all four failure modes observed under chaos", chaos_tally.iter().all(|&n| n > 0))
 }
 
 /// `repro metrics` — one instrumented chaotic run; dumps the cross-layer
 /// metrics registry, the per-ping deadline-budget audit and the telemetry
 /// summary, and writes `metrics.csv` / `metrics.json`.
-fn metrics(pings: u64) {
-    banner("Metrics — cross-layer telemetry registry (instrumented chaotic run)");
-    let n = pings.clamp(64, 1_000);
+fn metrics(ctx: &Ctx) -> Artifacts {
+    let n = ctx.pings.clamp(64, 1_000);
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
         .with_seed(7)
         .with_faults(sim::FaultPlan::chaos(0.2));
     let tel = telemetry::Telemetry::new(4096);
     let mut res = stack::run_parallel_opts(&cfg, n, n as usize, Some(&tel));
-    bench_log("metrics", "rtt", &mut res.rtt);
+    let art = Artifacts::default().dist("rtt", &mut res.rtt);
 
     let audits = urllc_core::audit_traces(&res.traces, &cfg, &tel);
     let over = audits.iter().filter(|a| !a.recovery_within_bound).count();
@@ -1377,40 +1193,29 @@ fn metrics(pings: u64) {
         println!("slowest audited ping:\n  {}", worst.render());
     }
     print!("{}", res.telemetry.render());
-    save("metrics.csv", &snap.to_csv());
-    save("metrics.json", &snap.to_json());
+    art.file("metrics.csv", snap.to_csv()).file("metrics.json", snap.to_json())
 }
 
 /// `repro trace [--perfetto out.json]` — one instrumented chaotic run;
 /// exports the event journal as a Chrome trace-event / Perfetto JSON
 /// document (load it at <https://ui.perfetto.dev>).
-fn trace(pings: u64, out: Option<String>) {
-    banner("Trace — Perfetto/Chrome trace-event export of the ping journey");
-    let n = pings.clamp(8, 24);
+fn trace(ctx: &Ctx) -> Artifacts {
+    let n = ctx.pings.clamp(8, 24);
     let cfg = StackConfig::testbed_dddu(AccessMode::GrantBased, true)
         .with_seed(7)
         .with_faults(sim::FaultPlan::chaos(0.2));
     let tel = telemetry::Telemetry::new(8192);
     let mut res = stack::run_parallel_opts(&cfg, n, 3, Some(&tel));
-    bench_log("trace", "rtt", &mut res.rtt);
+    let art = Artifacts::default().dist("rtt", &mut res.rtt);
     let events = tel.journal_events();
     println!(
         "{n} pings journalled {} events ({} dropped by the ring)",
         events.len(),
         tel.journal_dropped()
     );
-    let name = out.as_deref().unwrap_or("trace_perfetto.json");
-    let mut buf = Vec::new();
-    match telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
-        Ok(()) => save(name, &String::from_utf8(buf).expect("chrome trace is UTF-8")),
-        Err(e) => {
-            // The typed export error distinguishes formatting failures
-            // from I/O failures at this call site.
-            eprintln!("[trace export failed: {e}]");
-            std::process::exit(1);
-        }
-    }
-    println!("open the saved file at https://ui.perfetto.dev");
+    let name = ctx.perfetto.as_deref().unwrap_or("trace_perfetto.json");
+    art.export(name, chrome_trace(&events))
+        .footer("open the saved file at https://ui.perfetto.dev\n")
 }
 
 /// `repro profile` — tail forensics: the per-hop *host* wall-time profile
@@ -1418,9 +1223,8 @@ fn trace(pings: u64, out: Option<String>) {
 /// the flight recorder's worst-K + forced exemplars with their p50-diff
 /// tail decomposition (`tail_exemplars.json`, byte-deterministic at any
 /// `--jobs`), and an exemplar-only Perfetto trace (`tail_perfetto.json`).
-fn profile(pings: u64) {
-    banner("Profile — per-hop wall-time profiler + tail-forensics flight recorder");
-    let n = pings.clamp(64, 2_000);
+fn profile(ctx: &Ctx) -> Artifacts {
+    let n = ctx.pings.clamp(64, 2_000);
     let prof = telemetry::Profiler::new();
 
     // Chaotic grant-based journey: every grant-based hop plus the fault
@@ -1430,7 +1234,7 @@ fn profile(pings: u64) {
         .with_faults(FaultPlan::chaos(0.4));
     let tel = telemetry::Telemetry::new(131_072);
     let mut res = stack::run_parallel_profiled(&cfg, n, n as usize, Some(&tel), Some(&prof));
-    bench_log("profile", "rtt", &mut res.rtt);
+    let art = Artifacts::default().dist("rtt", &mut res.rtt);
 
     // Recovery-heavy grant-free run: the UL-access and RLF-recovery hops
     // (same burst recipe as `repro recovery`).
@@ -1445,7 +1249,7 @@ fn profile(pings: u64) {
     });
     let rtel = telemetry::Telemetry::new(131_072);
     let mut rres = stack::run_parallel_profiled(&rcfg, n, n as usize, Some(&rtel), Some(&prof));
-    bench_log("profile", "recovery_rtt", &mut rres.rtt);
+    let art = art.dist("recovery_rtt", &mut rres.rtt);
 
     // Engine wall time: a short governed overload pass at capacity...
     let ostack = StackConfig::testbed_dddu(AccessMode::GrantBased, true).with_seed(11);
@@ -1474,7 +1278,7 @@ fn profile(pings: u64) {
     let covered: std::collections::BTreeSet<&str> = stages.iter().map(|s| s.stage).collect();
     let missing: Vec<&str> =
         HopId::ALL.iter().map(|h| h.name()).filter(|name| !covered.contains(name)).collect();
-    println!(
+    let coverage = format!(
         "hop coverage: {}/{} journey hops profiled{}",
         HopId::ALL.len() - missing.len(),
         HopId::ALL.len(),
@@ -1513,7 +1317,6 @@ fn profile(pings: u64) {
         d2.coverage * 100.0
     );
 
-    save("profile.csv", &prof.to_csv());
     let doc = format!(
         "{{\n\"figures\": [\n\
          {{\"figure\": \"chaos\",\n\"decomposition\": {},\n\"flight\": {}}},\n\
@@ -1525,7 +1328,6 @@ fn profile(pings: u64) {
         rtel.flight_json(),
         mtel.flight_json(),
     );
-    save("tail_exemplars.json", &doc);
 
     // Exemplar-only Perfetto trace: the chaos figure's journal filtered
     // to the retained pings.
@@ -1535,14 +1337,19 @@ fn profile(pings: u64) {
         .into_iter()
         .filter(|ev| ev.ping().is_some_and(|p| keep.contains(&p)))
         .collect();
+    art.file("profile.csv", prof.to_csv())
+        .file("tail_exemplars.json", doc)
+        .export("tail_perfetto.json", chrome_trace(&events))
+        .check(coverage, missing.is_empty())
+}
+
+/// Renders journal events as a Chrome trace-event / Perfetto JSON document.
+fn chrome_trace(
+    events: &[telemetry::JournalEvent],
+) -> Result<String, telemetry::perfetto::TraceExportError> {
     let mut buf = Vec::new();
-    match telemetry::perfetto::export_chrome_trace(&mut buf, &events) {
-        Ok(()) => save("tail_perfetto.json", &String::from_utf8(buf).expect("trace is UTF-8")),
-        Err(e) => {
-            eprintln!("[tail trace export failed: {e}]");
-            std::process::exit(1);
-        }
-    }
+    telemetry::perfetto::export_chrome_trace(&mut buf, events)?;
+    Ok(String::from_utf8(buf).expect("chrome trace is UTF-8"))
 }
 
 /// `repro ratchet [--write]` — the gating wall-time check: judges the
@@ -1602,12 +1409,5 @@ fn ratchet_cmd(write: bool) {
     print!("{}", report.render(&base.tolerance));
     if !report.ok() {
         std::process::exit(1);
-    }
-}
-
-fn save(name: &str, contents: &str) {
-    match write_artifact(name, contents) {
-        Ok(p) => println!("[saved {}]", p.display()),
-        Err(e) => eprintln!("[failed to save {name}: {e}]"),
     }
 }

@@ -10,10 +10,14 @@
 //!   in the low percents (the "4.4 % of the time" measurement the paper
 //!   cites);
 //! * [`ratchet`] — the gating CI wall-time ratchet judging
-//!   `BENCH_repro.json` against the checked-in `ci/wall_baseline.json`.
+//!   `BENCH_repro.json` against the checked-in `ci/wall_baseline.json`;
+//! * [`registry`] — the figure table's entry type and the one runner that
+//!   writes every figure's artifacts, records its distributions and wall
+//!   time, and turns its checks into the exit status.
 
 pub mod fr2study;
 pub mod ratchet;
+pub mod registry;
 pub mod report;
 
 pub use fr2study::{fr2_study, Fr2Study};
