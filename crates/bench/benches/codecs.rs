@@ -40,6 +40,15 @@ fn bench_codecs(c: &mut Criterion) {
             b.iter(|| black_box(decode(cfg, s).expect("decode")))
         });
 
+        if size == 512 {
+            // The per-axis slicer alone, at its deepest nesting.
+            let qam = Modulation::Qam256.modulate_bytes(&payload);
+            assert_eq!(Modulation::Qam256.demodulate_bytes(&qam), payload);
+            g.bench_with_input(BenchmarkId::new("demodulate_qam256", size), &qam, |b, s| {
+                b.iter(|| black_box(Modulation::Qam256.demodulate_bytes(s)))
+            });
+        }
+
         g.bench_with_input(BenchmarkId::new("pdcp_encrypt", size), &payload, |b, p| {
             let mut e = PdcpEntity::new(PdcpConfig::new(7, 1, Direction::Uplink));
             let bytes = Bytes::from(p.clone());

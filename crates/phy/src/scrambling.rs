@@ -4,11 +4,69 @@
 //! two LFSRs `x1`, `x2` advanced past `Nc = 1600` warm-up steps, XORed to
 //! produce the sequence `c(n)`. `x1` always starts as `1,0,…,0`; `x2` is
 //! initialised from `c_init` (a function of RNTI/cell id per channel).
+//!
+//! The generator never replays the warm-up. `x1`'s state after `Nc` steps
+//! is a compile-time constant, and `x2`'s is linear in `c_init` over GF(2),
+//! so [`GoldSequence::new`] XORs one precomputed jump-table entry per set
+//! bit of `c_init`. Both registers then advance up to 28 steps per shift:
+//! the feedback taps reach at most 3 bits ahead, so one shift computes 28
+//! new register bits at once. [`GoldSequence::scramble_in_place`] XORs 7
+//! bytes per two shifts and finishes a remainder a byte per shift; the state
+//! it leaves is exactly the bit-serial state, so [`GoldSequence::next_bit`]
+//! continues the sequence.
 
 /// Warm-up offset Nc of TS 38.211 §5.2.1.
 pub const NC: usize = 1600;
 
-/// A Gold-sequence generator producing `c(n)` bit by bit.
+/// Largest step count one register shift can take: the feedback reads
+/// `x(n+3)`, so the 31-bit state yields 31 − 3 = 28 new bits.
+const MAX_SHIFT: u32 = 28;
+
+/// Advances the 31-bit register `x` by `k ≤ 28` steps given its feedback
+/// word `fb`, whose bit `j` is the new bit `x(n+31+j)`.
+const fn shift(x: u32, fb: u32, k: u32) -> u32 {
+    (x >> k) | ((fb & ((1 << k) - 1)) << (31 - k))
+}
+
+/// `x1(n+31) = (x1(n+3) + x1(n)) mod 2`, `k ≤ 28` steps at once.
+const fn advance_x1(x: u32, k: u32) -> u32 {
+    shift(x, (x >> 3) ^ x, k)
+}
+
+/// `x2(n+31) = (x2(n+3) + x2(n+2) + x2(n+1) + x2(n)) mod 2`, `k ≤ 28`
+/// steps at once.
+const fn advance_x2(x: u32, k: u32) -> u32 {
+    shift(x, (x >> 3) ^ (x >> 2) ^ (x >> 1) ^ x, k)
+}
+
+/// Runs one register through the `Nc`-step warm-up.
+const fn warm_up(mut x: u32, is_x2: bool) -> u32 {
+    let mut n = 0;
+    while n < NC as u32 {
+        let k = if NC as u32 - n < MAX_SHIFT { NC as u32 - n } else { MAX_SHIFT };
+        x = if is_x2 { advance_x2(x, k) } else { advance_x1(x, k) };
+        n += k;
+    }
+    x
+}
+
+/// `x1` after the warm-up (it always starts at `1,0,…,0`).
+const X1_WARM: u32 = warm_up(1, false);
+
+/// Entry `i` is `x2` after the warm-up from the state `1 << i`; by
+/// linearity, the warmed-up `x2` for any `c_init` is the XOR of the entries
+/// for its set bits.
+const X2_JUMP: [u32; 31] = {
+    let mut table = [0u32; 31];
+    let mut i = 0;
+    while i < 31 {
+        table[i] = warm_up(1 << i, true);
+        i += 1;
+    }
+    table
+};
+
+/// A Gold-sequence generator producing `c(n)`.
 #[derive(Debug, Clone)]
 pub struct GoldSequence {
     x1: u32, // bits x1(n)..x1(n+30) in bits 0..31
@@ -16,55 +74,57 @@ pub struct GoldSequence {
 }
 
 impl GoldSequence {
-    /// Creates a generator for the given `c_init`, advanced past the
-    /// standard's 1600-step warm-up so the next bit is `c(0)`.
+    /// Creates a generator for the given `c_init` (bit 31 is ignored),
+    /// advanced past the standard's 1600-step warm-up so the next bit is
+    /// `c(0)`.
     pub fn new(c_init: u32) -> GoldSequence {
-        let mut g = GoldSequence { x1: 1, x2: c_init & 0x7FFF_FFFF };
-        for _ in 0..NC {
-            g.step();
+        let mut bits = c_init & 0x7FFF_FFFF;
+        let mut x2 = 0;
+        while bits != 0 {
+            x2 ^= X2_JUMP[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
-        g
+        GoldSequence { x1: X1_WARM, x2 }
     }
 
-    /// Advances both LFSRs one step, returning the *current* output bit
-    /// `c(n) = (x1(n) + x2(n)) mod 2` before the shift.
-    fn step(&mut self) -> u8 {
-        let out = ((self.x1 ^ self.x2) & 1) as u8;
-        // x1(n+31) = (x1(n+3) + x1(n)) mod 2
-        let f1 = ((self.x1 >> 3) ^ self.x1) & 1;
-        // x2(n+31) = (x2(n+3) + x2(n+2) + x2(n+1) + x2(n)) mod 2
-        let f2 = ((self.x2 >> 3) ^ (self.x2 >> 2) ^ (self.x2 >> 1) ^ self.x2) & 1;
-        self.x1 = (self.x1 >> 1) | (f1 << 30);
-        self.x2 = (self.x2 >> 1) | (f2 << 30);
+    /// Advances both LFSRs `k ≤ 28` steps, returning the outputs
+    /// `c(n)..c(n+k-1)` in bits `0..k`.
+    #[inline]
+    fn advance(&mut self, k: u32) -> u32 {
+        let out = (self.x1 ^ self.x2) & ((1 << k) - 1);
+        self.x1 = advance_x1(self.x1, k);
+        self.x2 = advance_x2(self.x2, k);
         out
     }
 
     /// Next sequence bit (0 or 1).
     pub fn next_bit(&mut self) -> u8 {
-        self.step()
+        self.advance(1) as u8
     }
 
     /// Fills `out` with the next `out.len()` sequence bytes (8 bits each,
     /// MSB first).
     pub fn next_bytes(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
-            let mut b = 0u8;
-            for _ in 0..8 {
-                b = (b << 1) | self.next_bit();
-            }
-            *byte = b;
-        }
+        out.fill(0);
+        self.scramble_in_place(out);
     }
 
     /// Scrambles (XORs) `data` in place with the sequence — its own inverse,
     /// which is how descrambling works on the receive side.
     pub fn scramble_in_place(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            let mut mask = 0u8;
-            for _ in 0..8 {
-                mask = (mask << 1) | self.next_bit();
+        let mut chunks = data.chunks_exact_mut(7);
+        for chunk in &mut chunks {
+            // 56 sequence bits, c(n) in bit 0; reversed, c(n) is the MSB of
+            // the first big-endian byte.
+            let lo = u64::from(self.advance(MAX_SHIFT));
+            let hi = u64::from(self.advance(MAX_SHIFT));
+            let mask = (lo | hi << MAX_SHIFT).reverse_bits().to_be_bytes();
+            for (byte, m) in chunk.iter_mut().zip(mask) {
+                *byte ^= m;
             }
-            *byte ^= mask;
+        }
+        for byte in chunks.into_remainder() {
+            *byte ^= (self.advance(8) as u8).reverse_bits();
         }
     }
 }

@@ -8,6 +8,10 @@
 //! 3. scramble with the UE-specific Gold sequence;
 //! 4. modulate to IQ samples.
 //!
+//! The stream stays in packed bytes from CRC to modulation and back. Its
+//! framing is a one-byte code-block count and a two-byte length per block,
+//! so a transport block needs at most [`MAX_CODE_BLOCKS`] code blocks.
+//!
 //! The LDPC encode/rate-match stage is replaced by a pass-through: channel
 //! errors are modelled at packet granularity by the `channel` crate, so the
 //! code here preserves *structure* (segmentation, CRCs, scrambling — all the
@@ -25,7 +29,11 @@ use crate::scrambling::GoldSequence;
 /// we use its byte form minus the CRC24B).
 pub const MAX_CODE_BLOCK_BYTES: usize = 8448 / 8 - 3;
 
-/// Errors from transport-block decoding.
+/// Most code blocks one transport block can carry: the stream's block
+/// count is one byte.
+pub const MAX_CODE_BLOCKS: usize = u8::MAX as usize;
+
+/// Errors from transport-block encoding and decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportError {
     /// A code-block CRC24B failed.
@@ -38,6 +46,11 @@ pub enum TransportError {
     /// The sample stream didn't contain a whole number of bit groups or
     /// the framing lengths were inconsistent.
     Framing,
+    /// The transport block needs more than [`MAX_CODE_BLOCKS`] code blocks.
+    TooManyCodeBlocks {
+        /// Code blocks the payload would need.
+        blocks: usize,
+    },
 }
 
 impl core::fmt::Display for TransportError {
@@ -46,6 +59,9 @@ impl core::fmt::Display for TransportError {
             TransportError::CodeBlockCrc { index } => write!(f, "code block {index} CRC failed"),
             TransportError::TransportCrc => write!(f, "transport block CRC failed"),
             TransportError::Framing => write!(f, "malformed sample stream"),
+            TransportError::TooManyCodeBlocks { blocks } => {
+                write!(f, "transport block needs {blocks} code blocks (max {MAX_CODE_BLOCKS})")
+            }
         }
     }
 }
@@ -65,92 +81,90 @@ pub struct ShChConfig {
 /// Encodes a transport block into IQ samples.
 ///
 /// Returns the samples and the number of code blocks used (for processing-
-/// time models that scale with segmentation).
-pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
-    // 1. TB CRC.
-    let tb = CRC24A.attach(payload);
+/// time models that scale with segmentation), or
+/// [`TransportError::TooManyCodeBlocks`] when the block count does not fit
+/// the stream's count byte.
+pub fn try_encode(config: ShChConfig, payload: &[u8]) -> Result<(Vec<Iq>, usize), TransportError> {
+    // 1. The transport block is the payload plus its CRC24A.
+    let tb = payload.len() + 3;
+    let n_blocks = tb.div_ceil(MAX_CODE_BLOCK_BYTES);
+    let count = u8::try_from(n_blocks)
+        .map_err(|_| TransportError::TooManyCodeBlocks { blocks: n_blocks })?;
     // 2. Segmentation (+ per-CB CRC only when more than one CB, as in the
-    //    spec).
-    let blocks: Vec<Vec<u8>> = if tb.len() <= MAX_CODE_BLOCK_BYTES {
-        vec![tb]
+    //    spec), each block behind a 2-byte length prefix so the receiver
+    //    can re-segment (stands in for the rate-matching metadata carried
+    //    in DCI in a real system).
+    let mut stream = Vec::with_capacity(stream_bytes(tb, n_blocks));
+    stream.push(count);
+    if n_blocks == 1 {
+        stream.extend_from_slice(&(tb as u16).to_be_bytes());
+        stream.extend_from_slice(payload);
+        stream.extend_from_slice(&CRC24A.compute(payload).to_be_bytes()[1..]);
     } else {
-        tb.chunks(MAX_CODE_BLOCK_BYTES).map(|c| CRC24B.attach(c)).collect()
-    };
-    let n_blocks = blocks.len();
-    // 3. Concatenate with a 2-byte length prefix per block so the receiver
-    //    can re-segment (stands in for the rate-matching metadata carried in
-    //    DCI in a real system).
-    let mut stream = Vec::new();
-    stream.push(n_blocks as u8);
-    for b in &blocks {
-        stream.extend_from_slice(&(b.len() as u16).to_be_bytes());
-        stream.extend_from_slice(b);
-    }
-    // 4. Scramble.
-    GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
-    // 5. Modulate (pad the bit stream to a whole number of symbols).
-    let mut bits: Vec<u8> = Vec::with_capacity(stream.len() * 8);
-    for byte in &stream {
-        for i in (0..8).rev() {
-            bits.push((byte >> i) & 1);
+        for block in CRC24A.attach(payload).chunks(MAX_CODE_BLOCK_BYTES) {
+            stream.extend_from_slice(&(block.len() as u16 + 3).to_be_bytes());
+            stream.extend_from_slice(block);
+            stream.extend_from_slice(&CRC24B.compute(block).to_be_bytes()[1..]);
         }
     }
-    let qm = config.modulation.bits_per_symbol() as usize;
-    while !bits.len().is_multiple_of(qm) {
-        bits.push(0);
-    }
-    (config.modulation.modulate(&bits), n_blocks)
+    // 3. Scramble.
+    GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
+    // 4. Modulate (the last symbol padded with zero bits).
+    Ok((config.modulation.modulate_bytes(&stream), n_blocks))
+}
+
+/// [`try_encode`] for callers that carry no error path: a transport block
+/// needing more than [`MAX_CODE_BLOCKS`] code blocks encodes to no samples,
+/// which [`decode`] rejects as [`TransportError::Framing`].
+pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
+    try_encode(config, payload).unwrap_or_default()
 }
 
 /// Decodes IQ samples back into the transport-block payload.
 pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportError> {
-    let bits = config.modulation.demodulate(samples);
-    let mut stream: Vec<u8> = bits
-        .chunks(8)
-        .filter(|c| c.len() == 8)
-        .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b))
-        .collect();
+    let mut stream = config.modulation.demodulate_bytes(samples);
     GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
-    if stream.is_empty() {
-        return Err(TransportError::Framing);
-    }
-    let n_blocks = stream[0] as usize;
+    let (&n_blocks, mut rest) = stream.split_first().ok_or(TransportError::Framing)?;
     if n_blocks == 0 {
         return Err(TransportError::Framing);
     }
-    let mut pos = 1usize;
+    let mut next_block = || {
+        let (len, tail) = rest.split_first_chunk::<2>().ok_or(TransportError::Framing)?;
+        let len = usize::from(u16::from_be_bytes(*len));
+        let block = tail.get(..len).ok_or(TransportError::Framing)?;
+        rest = &tail[len..];
+        Ok(block)
+    };
+    if n_blocks == 1 {
+        let tb = next_block()?;
+        return CRC24A.check(tb).map(<[u8]>::to_vec).ok_or(TransportError::TransportCrc);
+    }
     let mut tb = Vec::new();
-    for index in 0..n_blocks {
-        if pos + 2 > stream.len() {
-            return Err(TransportError::Framing);
-        }
-        let len = u16::from_be_bytes([stream[pos], stream[pos + 1]]) as usize;
-        pos += 2;
-        if pos + len > stream.len() {
-            return Err(TransportError::Framing);
-        }
-        let block = &stream[pos..pos + len];
-        pos += len;
-        if n_blocks == 1 {
-            tb.extend_from_slice(block);
-        } else {
-            let payload = CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?;
-            tb.extend_from_slice(payload);
-        }
+    for index in 0..usize::from(n_blocks) {
+        let block = next_block()?;
+        tb.extend_from_slice(CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?);
     }
     CRC24A.check(&tb).map(<[u8]>::to_vec).ok_or(TransportError::TransportCrc)
 }
 
-/// Number of IQ samples produced for a payload of `bytes` bytes — used by
-/// the radio model to translate transport blocks into bus traffic without
-/// materialising the samples.
+/// Stream bytes for a transport block of `tb` bytes in `blocks` code
+/// blocks: count byte, a length prefix per block, CRC24B per block when
+/// segmented.
+fn stream_bytes(tb: usize, blocks: usize) -> usize {
+    let with_cb_crc = if blocks == 1 { tb } else { tb + 3 * blocks };
+    1 + with_cb_crc + 2 * blocks
+}
+
+/// Number of IQ samples [`encode`] produces for a payload of `bytes`
+/// bytes — used by the radio model to translate transport blocks into bus
+/// traffic without materialising the samples.
 pub fn sample_count(config: ShChConfig, bytes: usize) -> usize {
     let tb = bytes + 3; // CRC24A
     let blocks = tb.div_ceil(MAX_CODE_BLOCK_BYTES);
-    let with_cb_crc = if blocks == 1 { tb } else { tb + 3 * blocks };
-    let stream = 1 + with_cb_crc + 2 * blocks;
-    let bits = stream * 8;
-    bits.div_ceil(config.modulation.bits_per_symbol() as usize)
+    if blocks > MAX_CODE_BLOCKS {
+        return 0;
+    }
+    (stream_bytes(tb, blocks) * 8).div_ceil(config.modulation.bits_per_symbol() as usize)
 }
 
 #[cfg(test)]
@@ -215,6 +229,32 @@ mod tests {
                 assert_eq!(samples.len(), sample_count(cfg(m), bytes), "{m:?} {bytes}B");
             }
         }
+    }
+
+    #[test]
+    fn block_count_over_255_is_a_typed_error() {
+        // 256 full code blocks of payload plus the CRC24A need 257 blocks.
+        let payload = vec![0x3Cu8; 256 * MAX_CODE_BLOCK_BYTES];
+        let cfg = cfg(Modulation::Qam256);
+        assert_eq!(
+            try_encode(cfg, &payload),
+            Err(TransportError::TooManyCodeBlocks { blocks: 257 })
+        );
+        // The infallible form must not emit a stream whose count byte has
+        // wrapped (257 as u8 = 1): it sends nothing, a framing error.
+        let (samples, _) = encode(cfg, &payload);
+        assert_eq!(samples.len(), sample_count(cfg, payload.len()));
+        assert_eq!(decode(cfg, &samples), Err(TransportError::Framing));
+    }
+
+    #[test]
+    fn exactly_255_blocks_roundtrip() {
+        let payload: Vec<u8> = (0..255 * MAX_CODE_BLOCK_BYTES - 3).map(|i| i as u8).collect();
+        let cfg = cfg(Modulation::Qam256);
+        let (samples, blocks) = try_encode(cfg, &payload).unwrap();
+        assert_eq!(blocks, MAX_CODE_BLOCKS);
+        assert_eq!(samples.len(), sample_count(cfg, payload.len()));
+        assert_eq!(decode(cfg, &samples).unwrap(), payload);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! Offline stand-in for the `criterion` benchmark harness.
 //!
 //! Keeps every `#[bench]`-style target in `crates/bench/benches/*`
-//! compiling and runnable without registry access. Measurement is a
-//! simple timed loop (median-free): good enough to compare orders of
-//! magnitude and to keep `cargo bench` wired into CI, without upstream's
-//! statistical machinery.
+//! compiling and runnable without registry access. Measurement times
+//! every iteration on its own and reports the median and the minimum:
+//! the median resists the odd slow iteration, the minimum shows the
+//! floor, and their gap is the spread. Good enough to compare kernels and
+//! to keep `cargo bench` wired into CI, without upstream's statistical
+//! machinery.
 //!
 //! Mode selection follows upstream: when cargo invokes a
 //! `harness = false` bench target from `cargo test --benches` it passes
@@ -159,20 +161,27 @@ pub enum BatchSize {
 /// Times the benchmark routine.
 pub struct Bencher {
     smoke: bool,
-    iters: u64,
-    elapsed: Duration,
+    /// Host time of each timed iteration.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine` over the configured iteration count.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        let iters = if self.smoke { 1 } else { DEFAULT_ITERS };
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(routine());
+    fn iters(&self) -> u64 {
+        if self.smoke {
+            1
+        } else {
+            DEFAULT_ITERS
         }
-        self.elapsed = start.elapsed();
-        self.iters = iters;
+    }
+
+    /// Times `routine` once per iteration over the configured count.
+    pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
+        self.samples.clear();
+        for _ in 0..self.iters() {
+            let start = Instant::now();
+            black_box(routine());
+            self.samples.push(start.elapsed());
+        }
     }
 
     /// Times `routine` with a fresh un-timed `setup` product per call.
@@ -181,21 +190,27 @@ impl Bencher {
         S: FnMut() -> I,
         F: FnMut(I) -> O,
     {
-        let iters = if self.smoke { 1 } else { DEFAULT_ITERS };
-        let mut elapsed = Duration::ZERO;
-        for _ in 0..iters {
+        self.samples.clear();
+        for _ in 0..self.iters() {
             let input = setup();
             let start = Instant::now();
             black_box(routine(input));
-            elapsed += start.elapsed();
+            self.samples.push(start.elapsed());
         }
-        self.elapsed = elapsed;
-        self.iters = iters;
     }
 }
 
+/// Median and minimum of the per-iteration times (`None` when the routine
+/// never ran).
+fn median_min(samples: &mut [Duration]) -> Option<(Duration, Duration)> {
+    samples.sort_unstable();
+    let n = samples.len();
+    let min = *samples.first()?;
+    Some(((samples[(n - 1) / 2] + samples[n / 2]) / 2, min))
+}
+
 fn run_one<F: FnMut(&mut Bencher)>(group: Option<&str>, id: &BenchmarkId, smoke: bool, mut f: F) {
-    let mut b = Bencher { smoke, iters: 0, elapsed: Duration::ZERO };
+    let mut b = Bencher { smoke, samples: Vec::new() };
     f(&mut b);
     let label = match group {
         Some(g) => format!("{g}/{}", id.id),
@@ -203,9 +218,13 @@ fn run_one<F: FnMut(&mut Bencher)>(group: Option<&str>, id: &BenchmarkId, smoke:
     };
     if smoke {
         println!("bench {label}: ok (smoke)");
-    } else if b.iters > 0 {
-        let per_iter = b.elapsed.as_nanos() / b.iters as u128;
-        println!("bench {label}: {per_iter} ns/iter ({} iters)", b.iters);
+    } else if let Some((median, min)) = median_min(&mut b.samples) {
+        println!(
+            "bench {label}: median {} ns/iter, min {} ns ({} iters)",
+            median.as_nanos(),
+            min.as_nanos(),
+            b.samples.len()
+        );
     }
 }
 
@@ -259,5 +278,20 @@ mod tests {
         g.bench_function("batched", |b| b.iter_batched(|| 3u64, |x| x * 2, BatchSize::SmallInput));
         g.finish();
         assert_eq!(seen, 7);
+    }
+
+    #[test]
+    fn timed_mode_records_every_iteration() {
+        let mut b = Bencher { smoke: false, samples: Vec::new() };
+        b.iter(|| 1 + 1);
+        assert_eq!(b.samples.len() as u64, DEFAULT_ITERS);
+    }
+
+    #[test]
+    fn median_and_min_of_samples() {
+        let ns = Duration::from_nanos;
+        assert_eq!(median_min(&mut [ns(9), ns(1), ns(5)]), Some((ns(5), ns(1))));
+        assert_eq!(median_min(&mut [ns(4), ns(100), ns(2), ns(6)]), Some((ns(5), ns(2))));
+        assert_eq!(median_min(&mut []), None);
     }
 }
