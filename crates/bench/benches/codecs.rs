@@ -11,6 +11,7 @@ use phy::transport::{decode, encode, ShChConfig};
 use ran::mac::{MacPdu, MacSubPdu};
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::RlcUmEntity;
+use sim::{Dist, SimRng};
 use std::hint::black_box;
 
 fn bench_codecs(c: &mut Criterion) {
@@ -39,6 +40,19 @@ fn bench_codecs(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("phy_decode_qpsk", size), &samples, |b, s| {
             b.iter(|| black_box(decode(cfg, s).expect("decode")))
         });
+
+        if size == 64 {
+            // The QPSK byte tables and byte slicer alone, without the
+            // transport chain around them.
+            let qpsk = Modulation::Qpsk.modulate_bytes(&payload);
+            assert_eq!(Modulation::Qpsk.demodulate_bytes(&qpsk), payload);
+            g.bench_with_input(BenchmarkId::new("modulate_qpsk", size), &payload, |b, p| {
+                b.iter(|| black_box(Modulation::Qpsk.modulate_bytes(p)))
+            });
+            g.bench_with_input(BenchmarkId::new("demodulate_qpsk", size), &qpsk, |b, s| {
+                b.iter(|| black_box(Modulation::Qpsk.demodulate_bytes(s)))
+            });
+        }
 
         if size == 512 {
             // The per-axis slicer alone, at its deepest nesting.
@@ -84,5 +98,14 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_codecs);
+/// One log-normal service-time draw: Table 2's PDCP row, the shape every
+/// processing stage of the ping walk samples.
+fn bench_service_time(c: &mut Criterion) {
+    let d = Dist::lognormal_us(8.29, 8.99);
+    let mut rng = SimRng::from_seed(1);
+    assert!(d.sample(&mut rng) > sim::Duration::ZERO);
+    c.bench_function("dist/lognormal_sample", |b| b.iter(|| black_box(d.sample(&mut rng))));
+}
+
+criterion_group!(benches, bench_codecs, bench_service_time);
 criterion_main!(benches);

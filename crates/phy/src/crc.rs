@@ -4,11 +4,13 @@
 //! CRC24B (code blocks), CRC24C (BCH), CRC16 (small transport blocks) and
 //! CRC11/CRC6 (polar-coded control).
 //!
-//! The hot path is table-driven: each standard polynomial gets a
-//! compile-time 256-entry lookup table and consumes input a byte at a time.
-//! Polynomials narrower than 8 bits (CRC6) run left-aligned at 8 bits (the
-//! register and polynomial are shifted up by `8 − width`; the final shift
-//! back recovers the remainder — the alignment commutes with the division).
+//! The hot path is slicing-by-8: every standard polynomial runs
+//! left-aligned in a 32-bit register (register and polynomial shifted up by
+//! `32 − width`; the final shift back recovers the remainder — the
+//! alignment commutes with the division) and gets eight compile-time
+//! 256-entry tables, so eight input bytes cost eight lookups and one
+//! register update. A tail shorter than eight bytes goes a byte at a time
+//! through the first table.
 //! The original MSB-first bit-at-a-time engine survives as
 //! [`CrcPoly::compute_bitwise`], both as the fallback for non-standard
 //! polynomials and as the reference the equivalence tests compare against.
@@ -38,70 +40,86 @@ pub const CRC11: CrcPoly = CrcPoly { width: 11, poly: 0x6_21 };
 /// gCRC6(D) = D⁶+D⁵+1 — short UCI.
 pub const CRC6: CrcPoly = CrcPoly { width: 6, poly: 0x21 };
 
-/// Builds the 256-entry byte-at-a-time table for `poly`, left-aligned to
-/// `max(width, 8)` bits. Evaluated at compile time for the standard
-/// polynomials below.
-const fn crc_table(width: u32, poly: u32) -> [u32; 256] {
-    // Left-align sub-byte polynomials so the byte loop always has ≥ 8 bits
-    // of register to shift through.
-    let shift = 8u32.saturating_sub(width);
-    let w = width + shift;
-    let poly = poly << shift;
-    let mask: u32 = if w == 32 { u32::MAX } else { (1 << w) - 1 };
-    let top: u32 = 1 << (w - 1);
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, one 256-entry table per byte position.
+type Tables = [[u32; 256]; 8];
+
+/// Slicing-by-8 tables for `poly`, left-aligned to a 32-bit register:
+/// `t[0][b]` is the register after shifting byte `b` through the top eight
+/// bits, and `t[k][b]` the same after `8·k` further zero bits. Evaluated at
+/// compile time for the standard polynomials below.
+const fn slicing_tables(width: u32, poly: u32) -> Tables {
+    let poly = poly << (32 - width);
+    let mut t = [[0u32; 256]; 8];
     let mut b = 0usize;
     while b < 256 {
-        let mut reg = (b as u32) << (w - 8);
+        let mut reg = (b as u32) << 24;
         let mut i = 0;
         while i < 8 {
-            reg = if reg & top != 0 { ((reg << 1) ^ poly) & mask } else { (reg << 1) & mask };
+            reg = if reg & 0x8000_0000 != 0 { (reg << 1) ^ poly } else { reg << 1 };
             i += 1;
         }
-        table[b] = reg;
+        t[0][b] = reg;
         b += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0usize;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev << 8) ^ t[0][(prev >> 24) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC24A_TABLE: [u32; 256] = crc_table(CRC24A.width, CRC24A.poly);
-static CRC24B_TABLE: [u32; 256] = crc_table(CRC24B.width, CRC24B.poly);
-static CRC24C_TABLE: [u32; 256] = crc_table(CRC24C.width, CRC24C.poly);
-static CRC16_TABLE: [u32; 256] = crc_table(CRC16.width, CRC16.poly);
-static CRC11_TABLE: [u32; 256] = crc_table(CRC11.width, CRC11.poly);
-static CRC6_TABLE: [u32; 256] = crc_table(CRC6.width, CRC6.poly);
+static CRC24A_TABLES: Tables = slicing_tables(CRC24A.width, CRC24A.poly);
+static CRC24B_TABLES: Tables = slicing_tables(CRC24B.width, CRC24B.poly);
+static CRC24C_TABLES: Tables = slicing_tables(CRC24C.width, CRC24C.poly);
+static CRC16_TABLES: Tables = slicing_tables(CRC16.width, CRC16.poly);
+static CRC11_TABLES: Tables = slicing_tables(CRC11.width, CRC11.poly);
+static CRC6_TABLES: Tables = slicing_tables(CRC6.width, CRC6.poly);
 
 impl CrcPoly {
-    /// The precomputed table for the standard polynomials (`None` for an
+    /// The precomputed tables for the standard polynomials (`None` for an
     /// ad-hoc polynomial, which falls back to the bitwise engine).
-    fn table(&self) -> Option<&'static [u32; 256]> {
+    fn tables(&self) -> Option<&'static Tables> {
         match (self.width, self.poly) {
-            (24, 0x86_4C_FB) => Some(&CRC24A_TABLE),
-            (24, 0x80_00_63) => Some(&CRC24B_TABLE),
-            (24, 0xB2_B1_17) => Some(&CRC24C_TABLE),
-            (16, 0x10_21) => Some(&CRC16_TABLE),
-            (11, 0x6_21) => Some(&CRC11_TABLE),
-            (6, 0x21) => Some(&CRC6_TABLE),
+            (24, 0x86_4C_FB) => Some(&CRC24A_TABLES),
+            (24, 0x80_00_63) => Some(&CRC24B_TABLES),
+            (24, 0xB2_B1_17) => Some(&CRC24C_TABLES),
+            (16, 0x10_21) => Some(&CRC16_TABLES),
+            (11, 0x6_21) => Some(&CRC11_TABLES),
+            (6, 0x21) => Some(&CRC6_TABLES),
             _ => None,
         }
     }
 
     /// Computes the CRC remainder of `data` (MSB-first, zero initial state,
-    /// no final XOR — the TS 38.212 convention). Table-driven for the
+    /// no final XOR — the TS 38.212 convention). Slicing-by-8 for the
     /// standard polynomials, bitwise otherwise.
     pub fn compute(&self, data: &[u8]) -> u32 {
-        let Some(table) = self.table() else {
+        let Some(t) = self.tables() else {
             return self.compute_bitwise(data);
         };
-        let shift = 8u32.saturating_sub(self.width);
-        let w = self.width + shift;
-        let mask: u32 = if w == 32 { u32::MAX } else { (1 << w) - 1 };
         let mut reg: u32 = 0;
-        for &byte in data {
-            let idx = ((reg >> (w - 8)) ^ u32::from(byte)) & 0xFF;
-            reg = ((reg << 8) & mask) ^ table[idx as usize];
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let hi = reg ^ u32::from_be_bytes([w[0], w[1], w[2], w[3]]);
+            reg = t[7][(hi >> 24) as usize]
+                ^ t[6][(hi >> 16) as usize & 0xFF]
+                ^ t[5][(hi >> 8) as usize & 0xFF]
+                ^ t[4][hi as usize & 0xFF]
+                ^ t[3][usize::from(w[4])]
+                ^ t[2][usize::from(w[5])]
+                ^ t[1][usize::from(w[6])]
+                ^ t[0][usize::from(w[7])];
         }
-        reg >> shift
+        for &byte in words.remainder() {
+            reg = (reg << 8) ^ t[0][((reg >> 24) ^ u32::from(byte)) as usize];
+        }
+        reg >> (32 - self.width)
     }
 
     /// The reference MSB-first bit-at-a-time engine (the original
@@ -213,7 +231,7 @@ mod tests {
     #[test]
     fn ad_hoc_polynomial_falls_back_to_bitwise() {
         let odd = CrcPoly { width: 8, poly: 0x07 }; // CRC-8/ATM, not in NR
-        assert!(odd.table().is_none());
+        assert!(odd.tables().is_none());
         assert_eq!(odd.compute(b"123456789"), odd.compute_bitwise(b"123456789"));
         // Known CRC-8 (poly 0x07, zero init): "123456789" → 0xF4.
         assert_eq!(odd.compute(b"123456789"), 0xF4);

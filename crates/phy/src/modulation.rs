@@ -6,12 +6,14 @@
 //! bits-per-symbol figures feed the transport-block sizing in [`crate::grid`].
 //!
 //! Each scheme's constellation is a `static` table built at compile time
-//! from the spec formula. Mapping is a table lookup, straight from packed
-//! bytes on the transport path ([`Modulation::modulate_bytes`]). Hard
-//! decisions slice each axis on its own: with Gray mapping, I carries the
-//! even bits and Q the odd ones, so the sign and nested `|x| − 2^j·k`
-//! comparisons give the minimum-distance bit group without searching the
-//! constellation.
+//! from the spec formula. The transport path maps packed bytes a byte at a
+//! time ([`Modulation::modulate_bytes`]): a per-byte table holds the
+//! `8/Qm` points of every byte value (64QAM maps 3-byte groups to 4
+//! points). Hard decisions slice each axis on its own: with Gray mapping,
+//! I carries the even bits and Q the odd ones, so the sign and nested
+//! `|x| − 2^j·k` comparisons give the minimum-distance bit group without
+//! searching the constellation. [`Modulation::demodulate_bytes`] packs the
+//! decisions of each group of samples into whole bytes.
 
 use core::f32::consts::SQRT_2;
 
@@ -126,7 +128,7 @@ impl Modulation {
             Modulation::Qpsk => &QPSK,
             Modulation::Qam16 => &QAM16,
             Modulation::Qam64 => &QAM64,
-            Modulation::Qam256 => &QAM256,
+            Modulation::Qam256 => QAM256.as_flattened(),
         }
     }
 
@@ -150,25 +152,17 @@ impl Modulation {
     }
 
     /// Modulates a packed byte stream (MSB first) into samples, padding the
-    /// last symbol with zero bits.
+    /// last symbol with zero bits. BPSK, QPSK, 16QAM and 256QAM copy each
+    /// byte's `8/Qm` points from a per-byte table; 64QAM maps every 3-byte
+    /// group to 4 points.
     pub fn modulate_bytes(self, bytes: &[u8]) -> Vec<Iq> {
-        let qm = self.bits_per_symbol();
-        let table = self.constellation();
-        let mask = (1u32 << qm) - 1;
-        let mut out = Vec::with_capacity((bytes.len() * 8).div_ceil(qm as usize));
-        let (mut acc, mut held) = (0u32, 0u32);
-        for &byte in bytes {
-            acc = (acc << 8) | u32::from(byte);
-            held += 8;
-            while held >= qm {
-                held -= qm;
-                out.push(table[((acc >> held) & mask) as usize]);
-            }
+        match self {
+            Modulation::Bpsk => map_bytes(bytes, &BPSK_BYTES),
+            Modulation::Qpsk => map_bytes(bytes, &QPSK_BYTES),
+            Modulation::Qam16 => map_bytes(bytes, &QAM16_BYTES),
+            Modulation::Qam64 => map_qam64(bytes),
+            Modulation::Qam256 => map_bytes(bytes, &QAM256),
         }
-        if held > 0 {
-            out.push(table[((acc << (qm - held)) & mask) as usize]);
-        }
-        out
     }
 
     /// Hard-decision demaps one sample to its bit group by slicing each
@@ -177,19 +171,13 @@ impl Modulation {
     /// minimum-distance decision; a sample exactly on a boundary takes bit
     /// 0. Non-finite samples demap without panicking (to arbitrary bits).
     pub fn demap(self, sample: Iq) -> u32 {
-        if self == Modulation::Bpsk {
-            return u32::from(sample.i + sample.q < 0.0);
+        match self {
+            Modulation::Bpsk => slice::<1>(sample),
+            Modulation::Qpsk => slice::<2>(sample),
+            Modulation::Qam16 => slice::<4>(sample),
+            Modulation::Qam64 => slice::<6>(sample),
+            Modulation::Qam256 => slice::<8>(sample),
         }
-        let mut v = (u32::from(sample.i < 0.0) << 1) | u32::from(sample.q < 0.0);
-        let (mut i, mut q) = (sample.i.abs(), sample.q.abs());
-        let mut threshold = self.scale() * (1u32 << (self.bits_per_axis() - 1)) as f32;
-        for _ in 1..self.bits_per_axis() {
-            v = (v << 2) | (u32::from(i > threshold) << 1) | u32::from(q > threshold);
-            i = (i - threshold).abs();
-            q = (q - threshold).abs();
-            threshold *= 0.5;
-        }
-        v
     }
 
     /// Demodulates samples back to bits (hard decisions).
@@ -205,22 +193,97 @@ impl Modulation {
         bits
     }
 
-    /// Demodulates samples straight into packed bytes (MSB first); bits
-    /// that do not fill a last whole byte are dropped.
+    /// Demodulates samples straight into packed bytes (MSB first), a whole
+    /// byte per group of samples (three bytes per four 64QAM samples);
+    /// bits that do not fill a last whole byte are dropped.
     pub fn demodulate_bytes(self, samples: &[Iq]) -> Vec<u8> {
-        let qm = self.bits_per_symbol();
-        let mut out = Vec::with_capacity(samples.len() * qm as usize / 8);
-        let (mut acc, mut held) = (0u32, 0u32);
-        for &s in samples {
-            acc = (acc << qm) | self.demap(s);
-            held += qm;
-            if held >= 8 {
-                held -= 8;
-                out.push((acc >> held) as u8);
-            }
+        match self {
+            Modulation::Bpsk => slice_bytes::<1>(samples),
+            Modulation::Qpsk => slice_bytes::<2>(samples),
+            Modulation::Qam16 => slice_bytes::<4>(samples),
+            Modulation::Qam64 => slice_bytes::<6>(samples),
+            Modulation::Qam256 => slice_bytes::<8>(samples),
         }
-        out
     }
+
+    /// The scheme carrying `qm` bits per symbol.
+    const fn with_bits_per_symbol(qm: u32) -> Modulation {
+        match qm {
+            1 => Modulation::Bpsk,
+            2 => Modulation::Qpsk,
+            4 => Modulation::Qam16,
+            6 => Modulation::Qam64,
+            _ => Modulation::Qam256,
+        }
+    }
+}
+
+/// Maps each byte to its `P` points from a per-byte table.
+fn map_bytes<const P: usize>(bytes: &[u8], table: &[[Iq; P]; 256]) -> Vec<Iq> {
+    let mut out = vec![Iq::default(); bytes.len() * P];
+    for (points, &byte) in out.chunks_exact_mut(P).zip(bytes) {
+        points.copy_from_slice(&table[usize::from(byte)]);
+    }
+    out
+}
+
+/// 64QAM: 4 points per 3-byte group; a trailing 1 or 2 bytes take 2 or 3
+/// points, the last padded with zero bits.
+fn map_qam64(bytes: &[u8]) -> Vec<Iq> {
+    let point = |v: u32, shift: u32| QAM64[((v >> shift) & 0x3F) as usize];
+    let mut out = Vec::with_capacity((bytes.len() * 8).div_ceil(6));
+    let mut groups = bytes.chunks_exact(3);
+    for g in &mut groups {
+        let v = u32::from_be_bytes([0, g[0], g[1], g[2]]);
+        out.extend_from_slice(&[point(v, 18), point(v, 12), point(v, 6), point(v, 0)]);
+    }
+    let rest = groups.remainder();
+    if !rest.is_empty() {
+        let v = rest.iter().enumerate().fold(0, |v, (n, &b)| v | u32::from(b) << (16 - 8 * n));
+        for k in 0..(rest.len() * 8).div_ceil(6) as u32 {
+            out.push(point(v, 18 - 6 * k));
+        }
+    }
+    out
+}
+
+/// Slices one sample of the `QM`-bit scheme (see [`Modulation::demap`]);
+/// the scheme is a constant, so the nested comparisons unroll.
+#[inline(always)]
+fn slice<const QM: u32>(sample: Iq) -> u32 {
+    let m = const { Modulation::with_bits_per_symbol(QM) };
+    if QM == 1 {
+        return u32::from(sample.i + sample.q < 0.0);
+    }
+    let mut v = (u32::from(sample.i < 0.0) << 1) | u32::from(sample.q < 0.0);
+    let (mut i, mut q) = (sample.i.abs(), sample.q.abs());
+    let mut threshold = m.scale() * (1u32 << (m.bits_per_axis() - 1)) as f32;
+    for _ in 1..m.bits_per_axis() {
+        v = (v << 2) | (u32::from(i > threshold) << 1) | u32::from(q > threshold);
+        i = (i - threshold).abs();
+        q = (q - threshold).abs();
+        threshold *= 0.5;
+    }
+    v
+}
+
+/// Slices whole bytes: each group of `lcm(QM, 8)/QM` samples gives
+/// `lcm(QM, 8)/8` bytes, and a trailing partial group the whole bytes its
+/// bits fill (only 64QAM's can fill any).
+fn slice_bytes<const QM: u32>(samples: &[Iq]) -> Vec<u8> {
+    let (group, group_bytes) = if QM == 6 { (4, 3) } else { (8 / QM as usize, 1) };
+    let pack = |group: &[Iq]| group.iter().fold(0u32, |v, &s| (v << QM) | slice::<QM>(s));
+    let mut out = vec![0u8; samples.len() * QM as usize / 8];
+    let (groups, tail) = samples.split_at(samples.len() / group * group);
+    let (whole, rest) = out.split_at_mut(groups.len() / group * group_bytes);
+    for (bytes, g) in whole.chunks_exact_mut(group_bytes).zip(groups.chunks_exact(group)) {
+        bytes.copy_from_slice(&pack(g).to_be_bytes()[4 - group_bytes..]);
+    }
+    let (v, bits) = (pack(tail), tail.len() * QM as usize);
+    for (k, byte) in rest.iter_mut().enumerate() {
+        *byte = (v >> (bits - 8 * (k + 1))) as u8;
+    }
+    out
 }
 
 /// `√10`, `√42` and `√170` rounded to `f32`: the mean-energy roots of the
@@ -257,11 +320,32 @@ const fn table<const N: usize>(m: Modulation) -> [Iq; N] {
     t
 }
 
+/// Per-byte point table: entry `b` holds the `P = 8/Qm` points byte `b`
+/// maps to, MSB first.
+const fn byte_table<const P: usize>(m: Modulation) -> [[Iq; P]; 256] {
+    let qm = m.bits_per_symbol();
+    let mut t = [[Iq::new(0.0, 0.0); P]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut p = 0;
+        while p < P {
+            t[b][p] = m.point((b as u32 >> (8 - qm * (p as u32 + 1))) & ((1 << qm) - 1));
+            p += 1;
+        }
+        b += 1;
+    }
+    t
+}
+
 static BPSK: [Iq; 2] = table(Modulation::Bpsk);
 static QPSK: [Iq; 4] = table(Modulation::Qpsk);
 static QAM16: [Iq; 16] = table(Modulation::Qam16);
 static QAM64: [Iq; 64] = table(Modulation::Qam64);
-static QAM256: [Iq; 256] = table(Modulation::Qam256);
+/// 256QAM's per-byte table is its constellation, one point per byte.
+static QAM256: [[Iq; 1]; 256] = byte_table(Modulation::Qam256);
+static BPSK_BYTES: [[Iq; 8]; 256] = byte_table(Modulation::Bpsk);
+static QPSK_BYTES: [[Iq; 4]; 256] = byte_table(Modulation::Qpsk);
+static QAM16_BYTES: [[Iq; 2]; 256] = byte_table(Modulation::Qam16);
 
 #[cfg(test)]
 mod tests {

@@ -120,31 +120,36 @@ pub fn encode(config: ShChConfig, payload: &[u8]) -> (Vec<Iq>, usize) {
     try_encode(config, payload).unwrap_or_default()
 }
 
-/// Decodes IQ samples back into the transport-block payload.
+/// Decodes IQ samples back into the transport-block payload. The
+/// demodulated stream is trimmed in place: each code block's payload moves
+/// down over the framing before it, and the CRCs are truncated away.
 pub fn decode(config: ShChConfig, samples: &[Iq]) -> Result<Vec<u8>, TransportError> {
     let mut stream = config.modulation.demodulate_bytes(samples);
     GoldSequence::new(config.c_init).scramble_in_place(&mut stream);
-    let (&n_blocks, mut rest) = stream.split_first().ok_or(TransportError::Framing)?;
+    let n_blocks = usize::from(*stream.first().ok_or(TransportError::Framing)?);
     if n_blocks == 0 {
         return Err(TransportError::Framing);
     }
-    let mut next_block = || {
-        let (len, tail) = rest.split_first_chunk::<2>().ok_or(TransportError::Framing)?;
-        let len = usize::from(u16::from_be_bytes(*len));
-        let block = tail.get(..len).ok_or(TransportError::Framing)?;
-        rest = &tail[len..];
-        Ok(block)
-    };
-    if n_blocks == 1 {
-        let tb = next_block()?;
-        return CRC24A.check(tb).map(<[u8]>::to_vec).ok_or(TransportError::TransportCrc);
+    // Read cursor over the framed blocks, write cursor for the compacted
+    // transport block (never ahead of the read cursor).
+    let (mut read, mut tb) = (1, 0);
+    for index in 0..n_blocks {
+        let len = stream
+            .get(read..read + 2)
+            .map(|l| usize::from(u16::from_be_bytes([l[0], l[1]])))
+            .ok_or(TransportError::Framing)?;
+        let block = stream.get(read + 2..read + 2 + len).ok_or(TransportError::Framing)?;
+        let kept = if n_blocks == 1 {
+            len
+        } else {
+            CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?.len()
+        };
+        stream.copy_within(read + 2..read + 2 + kept, tb);
+        (read, tb) = (read + 2 + len, tb + kept);
     }
-    let mut tb = Vec::new();
-    for index in 0..usize::from(n_blocks) {
-        let block = next_block()?;
-        tb.extend_from_slice(CRC24B.check(block).ok_or(TransportError::CodeBlockCrc { index })?);
-    }
-    CRC24A.check(&tb).map(<[u8]>::to_vec).ok_or(TransportError::TransportCrc)
+    let payload = CRC24A.check(&stream[..tb]).ok_or(TransportError::TransportCrc)?.len();
+    stream.truncate(payload);
+    Ok(stream)
 }
 
 /// Stream bytes for a transport block of `tb` bytes in `blocks` code

@@ -106,7 +106,8 @@ impl MacPdu {
     /// Encodes the PDU, padding to exactly `transport_block_size` bytes if
     /// given (a MAC PDU must fill its transport block).
     pub fn encode(&self, transport_block_size: Option<usize>) -> Result<Bytes, MacError> {
-        let mut out = Vec::new();
+        let len = self.subpdus.iter().map(MacSubPdu::encoded_len).sum::<usize>();
+        let mut out = Vec::with_capacity(len.max(transport_block_size.unwrap_or(0)));
         for sub in &self.subpdus {
             let len = sub.payload.len();
             if len > u16::MAX as usize {
@@ -178,11 +179,24 @@ pub const BSR_LEVELS: [u32; 31] = [
     5446, 7587, 10570, 14726, 20516, 28581, 39818, 55474, 77284, 107669, 150000,
 ];
 
+/// Every byte value, so a one-byte control element borrows static storage
+/// instead of allocating.
+static BYTE_VALUES: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = b as u8;
+        b += 1;
+    }
+    t
+};
+
 /// Encodes a short BSR control element: `| LCG(3) | BufferSize(5) |`.
 pub fn encode_short_bsr(lcg: u8, buffer_bytes: usize) -> Bytes {
     assert!(lcg < 8, "LCG is 3 bits");
     let idx = BSR_LEVELS.iter().position(|&lvl| buffer_bytes as u32 <= lvl).unwrap_or(31) as u8;
-    Bytes::from(vec![(lcg << 5) | idx])
+    let ce = usize::from((lcg << 5) | idx);
+    Bytes::from_static(&BYTE_VALUES[ce..=ce])
 }
 
 /// Decodes a short BSR: returns `(lcg, upper bound on buffered bytes)` —

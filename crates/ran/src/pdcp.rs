@@ -180,6 +180,10 @@ pub struct PdcpEntity {
     /// deadline. COUNT-at-enqueue means a discarded SDU leaves an SN gap
     /// on the wire, exactly as the spec's receiver sees it.
     tx_queue: VecDeque<(u32, Option<Instant>, Bytes)>,
+    /// A lower bound on the earliest deadline in `tx_queue` (`None`: no
+    /// queued SDU has one). While `now` is below it nothing can expire,
+    /// so [`expire_discards`](Self::expire_discards) skips its scan.
+    earliest_deadline: Option<Instant>,
     /// SDUs dropped by discardTimer expiry.
     discard_expired: u64,
     tel: Telemetry,
@@ -199,6 +203,7 @@ impl PdcpEntity {
             retransmitted: 0,
             discard_timer: None,
             tx_queue: VecDeque::new(),
+            earliest_deadline: None,
             discard_expired: 0,
             tel: Telemetry::disabled(),
         }
@@ -275,7 +280,7 @@ impl PdcpEntity {
     /// releasing them from the retransmission buffer (lower layers ack
     /// continuously in steady state; this keeps the buffer bounded).
     pub fn confirm_up_to(&mut self, count: u32) {
-        self.tx_pending.retain(|&c, _| c >= count);
+        self.tx_pending = self.tx_pending.split_off(&count);
     }
 
     /// Receive side: compiles the status report the peer needs to resume
@@ -370,6 +375,9 @@ impl PdcpEntity {
         let count = self.tx_next;
         self.tx_next = self.tx_next.wrapping_add(1);
         let deadline = self.discard_timer.map(|t| now + t);
+        if let Some(d) = deadline {
+            self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
+        }
         self.tx_queue.push_back((count, deadline, sdu));
         count
     }
@@ -380,12 +388,16 @@ impl PdcpEntity {
     /// its reordering flush. Memory stays bounded as a corollary: no SDU
     /// dwells in the queue longer than the timer.
     pub fn expire_discards(&mut self, now: Instant) -> u64 {
-        let before = self.tx_queue.len();
-        self.tx_queue.retain(|(_, deadline, _)| match deadline {
-            Some(d) => *d > now,
-            None => true,
-        });
-        let dropped = (before - self.tx_queue.len()) as u64;
+        let dropped = match self.earliest_deadline {
+            Some(earliest) if earliest <= now => {
+                let before = self.tx_queue.len();
+                self.tx_queue.retain(|(_, deadline, _)| deadline.is_none_or(|d| d > now));
+                self.earliest_deadline =
+                    self.tx_queue.iter().filter_map(|&(_, deadline, _)| deadline).min();
+                (before - self.tx_queue.len()) as u64
+            }
+            _ => 0,
+        };
         self.discard_expired += dropped;
         self.tel.count("pdcp", "discard_expired", dropped);
         dropped

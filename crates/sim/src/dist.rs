@@ -20,9 +20,10 @@ pub enum Dist {
     Constant(Duration),
     /// Uniform on `[lo, hi]` (e.g. packet arrival offset within a period).
     Uniform { lo: Duration, hi: Duration },
-    /// Log-normal with the given *linear-scale* mean and standard
-    /// deviation (calibrated measurements, e.g. the paper's Table 2).
-    LogNormalMeanStd { mean: Duration, std: Duration },
+    /// Log-normal calibrated to a *linear-scale* mean and standard
+    /// deviation (measurements, e.g. the paper's Table 2); built by
+    /// [`Dist::lognormal`] or [`Dist::lognormal_us`].
+    LogNormal(LogNormalParams),
     /// Gamma with the given linear-scale mean and standard deviation —
     /// a lighter-tailed alternative used in ablations of the jitter model.
     GammaMeanStd { mean: Duration, std: Duration },
@@ -42,10 +43,17 @@ impl Dist {
     /// Log-normal calibrated so that the *sampled values* (not the logs)
     /// have approximately the given mean and standard deviation.
     pub fn lognormal_us(mean_us: f64, std_us: f64) -> Dist {
-        Dist::LogNormalMeanStd {
-            mean: Duration::from_micros_f64(mean_us),
-            std: Duration::from_micros_f64(std_us),
-        }
+        Dist::lognormal(Duration::from_micros_f64(mean_us), Duration::from_micros_f64(std_us))
+    }
+
+    /// [`Dist::lognormal_us`] from durations. The log-scale parameters are
+    /// computed here, once, not on every draw.
+    pub fn lognormal(mean: Duration, std: Duration) -> Dist {
+        let (mu, sigma) = lognormal_params(mean.as_micros_f64(), std.as_micros_f64());
+        let shape = (sigma != 0.0).then(|| {
+            LogNormal::new(mu, sigma).expect("a positive mean gives a finite (mu, sigma)")
+        });
+        Dist::LogNormal(LogNormalParams { mean, shape })
     }
 
     /// Draws one sample.
@@ -63,14 +71,10 @@ impl Dist {
                     Duration::from_nanos(lo.as_nanos() + (off as u64).min(span))
                 }
             }
-            Dist::LogNormalMeanStd { mean, std } => {
-                let (mu, sigma) = lognormal_params(mean.as_micros_f64(), std.as_micros_f64());
-                if sigma == 0.0 {
-                    return *mean;
-                }
-                let ln = LogNormal::new(mu, sigma).expect("lognormal params");
-                Duration::from_micros_f64(ln.sample(rng))
-            }
+            Dist::LogNormal(p) => match &p.shape {
+                Some(ln) => Duration::from_micros_f64(ln.sample(rng)),
+                None => p.mean,
+            },
             Dist::GammaMeanStd { mean, std } => {
                 let m = mean.as_micros_f64();
                 let s = std.as_micros_f64();
@@ -102,12 +106,22 @@ impl Dist {
         match self {
             Dist::Constant(d) => *d,
             Dist::Uniform { lo, hi } => Duration::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2),
-            Dist::LogNormalMeanStd { mean, .. } => *mean,
+            Dist::LogNormal(p) => p.mean,
             Dist::GammaMeanStd { mean, .. } => *mean,
             Dist::Exponential { mean } => *mean,
             Dist::Shifted { floor, body } => *floor + body.mean(),
         }
     }
+}
+
+/// A log-normal's linear-scale mean and the log-scale sampler derived once,
+/// at construction, from its calibrated `(mean, std)`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LogNormalParams {
+    mean: Duration,
+    /// `exp(N(mu, sigma²))`; `None` when `sigma == 0` (a zero mean or
+    /// zero spread), where every draw is exactly `mean` and uses no RNG.
+    shape: Option<LogNormal>,
 }
 
 /// Converts a linear-scale `(mean, std)` to log-normal `(mu, sigma)`.
@@ -234,6 +248,41 @@ mod tests {
             assert!(d.sample(&mut rng) >= Duration::from_micros(100));
         }
         assert_eq!(d.mean(), Duration::from_micros(110));
+    }
+
+    /// The log-normal draw with its parameters converted on every call.
+    fn per_draw_lognormal(mean: Duration, std: Duration, rng: &mut SimRng) -> Duration {
+        let (mu, sigma) = lognormal_params(mean.as_micros_f64(), std.as_micros_f64());
+        if sigma == 0.0 {
+            return mean;
+        }
+        Duration::from_micros_f64(LogNormal::new(mu, sigma).unwrap().sample(rng))
+    }
+
+    #[test]
+    fn precomputed_lognormal_draws_equal_the_per_draw_formula() {
+        let us = Duration::from_micros_f64;
+        let calibrations = [
+            (us(8.29), us(8.99)),
+            (us(250.0), us(120.0)),
+            (us(0.001), us(4.0e6)),
+            (us(1.0e6), us(0.001)),
+            (us(10.0), Duration::ZERO),
+            (Duration::ZERO, us(5.0)),
+            (Duration::ZERO, Duration::ZERO),
+        ];
+        for (mean, std) in calibrations {
+            let d = Dist::lognormal(mean, std);
+            assert_eq!(d.mean(), mean);
+            for seed in 0..64 {
+                let (mut a, mut b) = (SimRng::from_seed(seed), SimRng::from_seed(seed));
+                for _ in 0..32 {
+                    assert_eq!(d.sample(&mut a), per_draw_lognormal(mean, std, &mut b));
+                }
+                // Same RNG consumption: none at all for a degenerate shape.
+                assert_eq!(a.uniform01().to_bits(), b.uniform01().to_bits());
+            }
+        }
     }
 
     #[test]

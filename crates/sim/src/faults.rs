@@ -361,10 +361,7 @@ impl FaultPlan {
             fronthaul_storm: Some(StormConfig {
                 enter: p(0.05, 0.9),
                 stay: 0.5,
-                extra: Dist::LogNormalMeanStd {
-                    mean: Duration::from_micros(250),
-                    std: Duration::from_micros(120),
-                },
+                extra: Dist::lognormal(Duration::from_micros(250), Duration::from_micros(120)),
             }),
             sr_loss: Some(LossGate { prob: p(0.35, 1.0) }),
             harq_feedback: Some(LossGate { prob: p(0.05, 1.0) }),

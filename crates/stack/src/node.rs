@@ -308,8 +308,8 @@ impl GnbStack {
             .dl_routes
             .iter()
             .find(|&(_, &r)| self.contexts.get(&r).is_some_and(|c| c.session.ue_addr == ue_addr));
-        let (&old_teid, &rnti) =
-            old_route.ok_or(StackError::Core(format!("no downlink route for UE {ue_addr}")))?;
+        let (&old_teid, &rnti) = old_route
+            .ok_or_else(|| StackError::Core(format!("no downlink route for UE {ue_addr}")))?;
         self.dl_routes.remove(&old_teid);
         self.dl_routes.insert(new_dl_teid, rnti);
         if let Some(ctx) = self.contexts.get_mut(&rnti) {
@@ -380,7 +380,7 @@ impl GnbStack {
         let rnti = *self
             .dl_routes
             .get(&gtp.teid)
-            .ok_or(StackError::Core(format!("no route for DL TEID {}", gtp.teid)))?;
+            .ok_or_else(|| StackError::Core(format!("no route for DL TEID {}", gtp.teid)))?;
         let ctx = self.ctx(rnti)?;
         let (_drb, sdap_pdu) =
             ctx.sdap.encode_pdu(PING_QFI, &inner).map_err(|e| StackError::Sdap(e.to_string()))?;

@@ -271,6 +271,9 @@ pub struct OverloadReport {
     pub embb_queued_bytes: u64,
     /// Peak PDCP transmission-queue depth (packets).
     pub peak_pdcp_queue: usize,
+    /// Peak PDCP retransmission-buffer depth (SDUs awaiting confirmation),
+    /// sampled at the end of each slot.
+    pub peak_pdcp_pending: usize,
     /// Peak URLLC RLC buffer occupancy (bytes).
     pub peak_rlc_bytes: usize,
     /// Peak HARQ backlog depth (transport blocks).
@@ -480,6 +483,7 @@ impl Engine<'_> {
         }
 
         self.report.peak_pdcp_queue = self.report.peak_pdcp_queue.max(self.pdcp.tx_queued());
+        self.report.peak_pdcp_pending = self.report.peak_pdcp_pending.max(self.pdcp.tx_pending());
         self.report.peak_rlc_bytes = self.report.peak_rlc_bytes.max(self.rlc.queued_bytes());
         self.report.peak_harq_backlog = self.report.peak_harq_backlog.max(self.harq.len());
     }
@@ -516,7 +520,13 @@ impl Engine<'_> {
             }
             self.next_pull_expected = count + 1;
             match self.rlc.try_tx_sdu(pdu) {
-                Ok(()) => self.rlc_fifo.push_back(count),
+                Ok(()) => {
+                    self.rlc_fifo.push_back(count);
+                    // RLC UM has no PDCP data recovery: once RLC holds the
+                    // PDU, PDCP never retransmits it, so release it (and
+                    // any earlier COUNT RLC refused) from the buffer.
+                    self.pdcp.confirm_up_to(count + 1);
+                }
                 Err(_) => self.drop_urllc(hook, count, now, DropReason::RlcFull),
             }
         }
@@ -648,6 +658,7 @@ pub fn run_overload_profiled(
             embb_shed_bytes: 0,
             embb_queued_bytes: 0,
             peak_pdcp_queue: 0,
+            peak_pdcp_pending: 0,
             peak_rlc_bytes: 0,
             peak_harq_backlog: 0,
             total_slots: 0,

@@ -4,7 +4,10 @@
 //!
 //! Matches the upstream `Bytes` semantics the workspace relies on —
 //! shared ownership via `Arc`, zero-copy `slice`, deref to `[u8]` — for
-//! the PDU payloads threaded through the RLC/PDCP/MAC codecs.
+//! the PDU payloads threaded through the RLC/PDCP/MAC codecs. As upstream,
+//! `From<Vec<u8>>` takes the vector's buffer without copying it, and
+//! `Bytes::new()` / `from_static` borrow static storage without
+//! allocating.
 
 #![forbid(unsafe_code)]
 
@@ -17,20 +20,28 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable slice of shared bytes.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
+/// Where the bytes live: borrowed static storage, or a vector taken over
+/// whole and shared by reference count.
+#[derive(Clone)]
+enum Storage {
+    Static(&'static [u8]),
+    Shared(Arc<Vec<u8>>),
+}
+
 impl Bytes {
-    /// Creates an empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+    /// Creates an empty buffer (no allocation).
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
-    /// Creates a buffer from a static byte slice.
-    pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::from_vec(bytes.to_vec())
+    /// Creates a buffer borrowing a static byte slice (no copy).
+    pub const fn from_static(bytes: &'static [u8]) -> Bytes {
+        Bytes { data: Storage::Static(bytes), start: 0, end: bytes.len() }
     }
 
     /// Creates a buffer that copies `data` exactly once; clones and
@@ -39,9 +50,11 @@ impl Bytes {
         Bytes::from_vec(data.to_vec())
     }
 
+    /// Takes over `v`'s buffer: the only allocation is the reference
+    /// count.
     fn from_vec(v: Vec<u8>) -> Bytes {
         let end = v.len();
-        Bytes { data: Arc::from(v), start: 0, end }
+        Bytes { data: Storage::Shared(Arc::new(v)), start: 0, end }
     }
 
     /// Number of bytes in view.
@@ -70,11 +83,14 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of range for {}", self.len());
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Storage::Static(s) => &s[self.start..self.end],
+            Storage::Shared(v) => &v[self.start..self.end],
+        }
     }
 }
 
@@ -220,6 +236,24 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_slice_panics() {
         Bytes::from(vec![1u8]).slice(0..5);
+    }
+
+    #[test]
+    fn from_vec_takes_the_buffer_without_copying() {
+        let v = vec![7u8; 32];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(4..).as_ptr(), ptr.wrapping_add(4));
+        assert_eq!(b.clone().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn static_storage_is_borrowed() {
+        static DATA: [u8; 3] = [1, 2, 3];
+        assert_eq!(Bytes::from_static(&DATA).as_ptr(), DATA.as_ptr());
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::new(), Bytes::from(Vec::new()));
     }
 
     #[test]

@@ -109,8 +109,95 @@ fn governed_run_beats_ungoverned_past_saturation() {
     );
 }
 
+#[test]
+fn retransmission_buffer_stays_bounded_over_a_long_run() {
+    // RLC UM has no PDCP data recovery, so the engine confirms every COUNT
+    // RLC accepts: the retransmission buffer must not grow with the run.
+    let stack = testbed();
+    let mu = capacity_pps();
+    for horizon_ms in [200, 2_000] {
+        let cfg = OverloadConfig::testbed(
+            stack.clone(),
+            ArrivalProcess::bursty_pps(mu * 1.1, 6.0, 0.25, Duration::from_millis(2)),
+            Duration::from_millis(horizon_ms),
+        );
+        let mut sup = SloSupervisor::new(SloConfig::default());
+        let r = run_overload(&cfg, &SimRng::from_seed(24), &mut sup, &Telemetry::disabled());
+        assert!(r.conserved(), "{r:?}");
+        assert!(r.offered > 1_000, "the run must be long: {r:?}");
+        assert!(r.peak_pdcp_pending <= 1, "{horizon_ms} ms: {} pending", r.peak_pdcp_pending);
+    }
+}
+
+/// One step of a PDCP timed-path script.
+#[derive(Debug, Clone)]
+enum PdcpOp {
+    Enqueue { gap_us: u64 },
+    Pull,
+    Expire,
+    SetTimer(Option<u64>),
+}
+
+fn pdcp_op() -> impl Strategy<Value = PdcpOp> {
+    (0u8..4, 0u64..3_000, prop::option::of(100u64..4_000)).prop_map(|(kind, gap_us, timer)| {
+        match kind {
+            0 => PdcpOp::Enqueue { gap_us },
+            1 => PdcpOp::Pull,
+            2 => PdcpOp::Expire,
+            _ => PdcpOp::SetTimer(timer),
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The discard scan that skips while `now` is below the earliest
+    /// queued deadline drops exactly what a full scan on every call drops,
+    /// also when a mid-run `set_discard_timer` makes deadlines non-monotone.
+    #[test]
+    fn discard_skip_matches_a_full_scan(
+        timer_us in prop::option::of(100u64..4_000),
+        ops in prop::collection::vec(pdcp_op(), 1..120),
+    ) {
+        let mut tx = PdcpEntity::new(PdcpConfig::new(9, 1, Direction::Downlink));
+        tx.set_discard_timer(timer_us.map(Duration::from_micros));
+        let mut timer = timer_us.map(Duration::from_micros);
+        let mut reference: std::collections::VecDeque<(u32, Option<Instant>)> =
+            Default::default();
+        let mut expired = 0u64;
+        let mut now = Instant::ZERO;
+        let full_scan = |q: &mut std::collections::VecDeque<(u32, Option<Instant>)>, now| {
+            let before = q.len();
+            q.retain(|&(_, d): &(u32, Option<Instant>)| d.is_none_or(|d| d > now));
+            (before - q.len()) as u64
+        };
+        for op in ops {
+            match op {
+                PdcpOp::Enqueue { gap_us } => {
+                    now += Duration::from_micros(gap_us);
+                    let count = tx.tx_enqueue(now, Bytes::from_static(b"sdu"));
+                    reference.push_back((count, timer.map(|t| now + t)));
+                }
+                PdcpOp::Pull => {
+                    expired += full_scan(&mut reference, now);
+                    let want = reference.pop_front().map(|(c, _)| c);
+                    prop_assert_eq!(tx.pull_tx(now).map(|(c, _)| c), want);
+                }
+                PdcpOp::Expire => {
+                    let dropped = full_scan(&mut reference, now);
+                    expired += dropped;
+                    prop_assert_eq!(tx.expire_discards(now), dropped);
+                }
+                PdcpOp::SetTimer(t) => {
+                    timer = t.map(Duration::from_micros);
+                    tx.set_discard_timer(timer);
+                }
+            }
+            prop_assert_eq!(tx.discard_expired_total(), expired);
+            prop_assert_eq!(tx.tx_queued(), reference.len());
+        }
+    }
 
     /// Conservation holds for every (process, rate, horizon, BLER, cap)
     /// combination: offered == delivered + dropped + in-flight, with every

@@ -1,12 +1,14 @@
-//! Equivalence of the word-parallel PHY kernels with bit-serial oracles.
+//! Equivalence of the word-parallel and byte-table PHY kernels with
+//! bit-serial oracles.
 //!
 //! The oracles live here, not in `phy`: a Gold generator written straight
 //! from the TS 38.211 §5.2.1 recurrence, the §5.1 mapping formulas with a
-//! minimum-distance demapper, and the transport chain's encode spelled out
-//! one bit per byte. `phy` keeps one code path; these tests pin it to the
-//! spec.
+//! per-symbol map and minimum-distance demapper, and the transport chain's
+//! encode spelled out one bit per byte. The slicing-by-8 CRC is pinned to
+//! the bitwise engine `phy` keeps for ad-hoc polynomials. `phy` keeps one
+//! code path; these tests pin it to the spec.
 
-use phy::crc::{CRC24A, CRC24B};
+use phy::crc::{CrcPoly, CRC11, CRC16, CRC24A, CRC24B, CRC24C, CRC6};
 use phy::modulation::{Iq, Modulation};
 use phy::scrambling::{GoldSequence, NC};
 use phy::transport::{decode, encode, ShChConfig, MAX_CODE_BLOCK_BYTES};
@@ -122,6 +124,45 @@ fn bit_patterns(samples: &[Iq]) -> Vec<(u32, u32)> {
     samples.iter().map(|s| (s.i.to_bits(), s.q.to_bits())).collect()
 }
 
+/// `bytes` as bits (MSB first), zero-padded to whole symbols and mapped one
+/// symbol at a time through the spec formula.
+fn oracle_modulate(m: Modulation, bytes: &[u8]) -> Vec<Iq> {
+    let qm = m.bits_per_symbol() as usize;
+    let mut bits: Vec<u8> =
+        bytes.iter().flat_map(|b| (0..8).rev().map(move |i| (b >> i) & 1)).collect();
+    bits.resize(bits.len().div_ceil(qm) * qm, 0);
+    bits.chunks(qm)
+        .map(|g| oracle_point(m, g.iter().fold(0u32, |v, &b| (v << 1) | u32::from(b))))
+        .collect()
+}
+
+/// Min-distance decisions one symbol at a time, packed MSB first; bits
+/// short of a last whole byte are dropped.
+fn oracle_demodulate(m: Modulation, samples: &[Iq]) -> Vec<u8> {
+    let qm = m.bits_per_symbol();
+    let constellation = oracle_constellation(m);
+    let bits: Vec<u8> = samples
+        .iter()
+        .flat_map(|&s| {
+            let v = oracle_demap(&constellation, s);
+            (0..qm).rev().map(move |i| ((v >> i) & 1) as u8)
+        })
+        .collect();
+    bits.chunks_exact(8).map(|byte| byte.iter().fold(0u8, |v, &b| (v << 1) | b)).collect()
+}
+
+/// xorshift64*: deterministic test data without a sim dependency.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+const STANDARD_POLYS: [CrcPoly; 6] = [CRC24A, CRC24B, CRC24C, CRC16, CRC11, CRC6];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -217,6 +258,99 @@ fn encode_equals_the_oracle_bit_for_bit() {
                     "{m:?} c_init {c_init:#x} {bytes} B"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn byte_table_modulator_equals_the_per_symbol_map() {
+    let every_byte: Vec<u8> = (0..=255).collect();
+    let mut next = xorshift(0x5EED);
+    for m in Modulation::ALL {
+        assert_eq!(
+            bit_patterns(&m.modulate_bytes(&every_byte)),
+            bit_patterns(&oracle_modulate(m, &every_byte)),
+            "{m:?} every byte value"
+        );
+        // Ragged lengths: every remainder of a 64QAM 3-byte group, and of
+        // every other scheme's one-byte group.
+        for len in 0..=13 {
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(
+                bit_patterns(&m.modulate_bytes(&bytes)),
+                bit_patterns(&oracle_modulate(m, &bytes)),
+                "{m:?} {len} B"
+            );
+        }
+    }
+}
+
+#[test]
+fn byte_slicer_equals_the_per_symbol_demapper() {
+    let every_byte: Vec<u8> = (0..=255).collect();
+    let mut next = xorshift(0xD1CE);
+    // Uniform over ±1.6 on each axis: past the outermost 256QAM ring.
+    let mut axis = move || (next() >> 11) as f32 / (1u64 << 53) as f32 * 3.2 - 1.6;
+    for m in Modulation::ALL {
+        let clean = m.modulate_bytes(&every_byte);
+        assert_eq!(m.demodulate_bytes(&clean), every_byte, "{m:?}");
+        assert_eq!(m.demodulate_bytes(&clean), oracle_demodulate(m, &clean), "{m:?}");
+        // Ragged sample counts of random samples: whole bytes only, every
+        // decision the minimum-distance one.
+        for len in 0..=25 {
+            let samples: Vec<Iq> = (0..len).map(|_| Iq::new(axis(), axis())).collect();
+            assert_eq!(
+                m.demodulate_bytes(&samples),
+                oracle_demodulate(m, &samples),
+                "{m:?} {len} samples"
+            );
+        }
+    }
+}
+
+#[test]
+fn special_samples_decide_as_less_than_zero() {
+    let special = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for m in Modulation::ALL {
+        let qm = m.bits_per_symbol();
+        for &i in &special {
+            for &q in &special {
+                let s = Iq::new(i, q);
+                let v = m.demap(s);
+                if m == Modulation::Bpsk {
+                    assert_eq!(v, u32::from(i + q < 0.0), "{m:?} ({i}, {q})");
+                } else {
+                    // The first I and Q bits are the signs.
+                    assert_eq!(v >> (qm - 1), u32::from(i < 0.0), "{m:?} I of ({i}, {q})");
+                    assert_eq!((v >> (qm - 2)) & 1, u32::from(q < 0.0), "{m:?} Q of ({i}, {q})");
+                }
+                // The byte slicer makes the same decision as the per-symbol
+                // one: a run of the sample packs into copies of its bits.
+                let run = vec![s; 8];
+                let bits: Vec<u8> =
+                    (0..8).flat_map(|_| (0..qm).rev().map(move |b| ((v >> b) & 1) as u8)).collect();
+                let want: Vec<u8> =
+                    bits.chunks_exact(8).map(|c| c.iter().fold(0, |a, &b| (a << 1) | b)).collect();
+                assert_eq!(m.demodulate_bytes(&run), want, "{m:?} ({i}, {q})");
+            }
+        }
+    }
+}
+
+#[test]
+fn slicing_crc_equals_bitwise_at_lengths_0_to_4096() {
+    let mut next = xorshift(0xC0C0);
+    let data: Vec<u8> = (0..4096).map(|_| next() as u8).collect();
+    // Every length up to 64 (each slicing-by-8 tail), then every 37th
+    // length and the 4096 B end.
+    let lengths = (0..=64).chain((65..4096).step_by(37)).chain([4095, 4096]);
+    for len in lengths {
+        for p in STANDARD_POLYS {
+            assert_eq!(
+                p.compute(&data[..len]),
+                p.compute_bitwise(&data[..len]),
+                "{p:?} at {len} B"
+            );
         }
     }
 }
