@@ -160,9 +160,11 @@ pub struct EmergencyBurst {
 impl EmergencyBurst {
     /// The URLLC budget multiplier at `now`.
     pub fn factor_at(&self, now: Instant) -> f64 {
+        // Offset from the start, so a window ending past the clock's
+        // range (`Duration::MAX`) cannot overflow.
         let t = now.as_nanos();
         let start = self.start.as_nanos();
-        if t >= start && t < start + self.duration.as_nanos() {
+        if t >= start && t - start < self.duration.as_nanos() {
             self.magnitude
         } else {
             1.0
@@ -694,6 +696,33 @@ impl Scheduler {
         self.punctured
     }
 
+    /// The most bytes one DL slot can ever give a request tagged `tag`:
+    /// the slot capacity, less the background a non-preempting request
+    /// must leave, capped by its slice's smallest budget (probed before,
+    /// inside and after an emergency window). [`run_slot`](Self::run_slot)
+    /// aborts on a larger request; callers with configured sizes check
+    /// here first.
+    pub fn dl_room(&self, tag: &RequestTag) -> usize {
+        let cap = self.config.dl_slot_capacity;
+        let mut room = cap;
+        if !self.policy.preempts(tag) {
+            room = room.saturating_sub(self.policy.dl_background());
+        }
+        if self.policy.slices() {
+            let mut probes = vec![Instant::ZERO];
+            if let PolicySpec::SliceAware(SliceShares { emergency: Some(e), .. }) =
+                self.policy.spec()
+            {
+                probes.push(e.start);
+                probes.extend(e.start.checked_add(e.duration));
+            }
+            for at in probes {
+                room = room.min(self.policy.slice_budget(tag.slice, at, cap));
+            }
+        }
+        room
+    }
+
     /// Runs the scheduling round at the start of global slot `slot`.
     /// Serves every request that became ready strictly before the boundary,
     /// in the order the policy chooses.
@@ -1164,6 +1193,9 @@ mod tests {
         assert_eq!(burst.factor_at(Instant::from_micros(400)), 2.0);
         assert_eq!(burst.factor_at(Instant::from_micros(699)), 2.0);
         assert_eq!(burst.factor_at(Instant::from_micros(700)), 1.0);
+        let endless = EmergencyBurst { duration: Duration::MAX, ..burst };
+        assert_eq!(endless.factor_at(Instant::from_micros(399)), 1.0);
+        assert_eq!(endless.factor_at(Instant::from_nanos(u64::MAX)), 2.0);
     }
 
     #[test]

@@ -21,15 +21,22 @@
 //!   `match` over `PingEvent`, with fault gates as calls in its arms;
 //! * [`stage_labels`] — the canonical Fig-3 stage vocabulary shared by
 //!   traces, telemetry keys and the deadline-budget auditor;
+//! * [`cell`] — the open-loop cell driver every engine below runs on: one
+//!   event loop, one per-class arrival source, one delivery ledger;
 //! * [`multi_ue`] — the §9 scalability experiment: uplink latency and
 //!   resource waste as the UE population grows, grant-free vs grant-based;
-//! * [`multicell`] — the city-scale N-gNB topology: per-cell event queues
-//!   and heterogeneous UE mixes, sharded with cells as the boundary,
+//! * [`multicell`] — the city-scale N-gNB topology: one driven cell per
+//!   gNB with a heterogeneous UE mix, sharded with cells as the boundary,
 //!   recording fixed-memory up to 10⁶ total UEs;
-//! * [`coexistence`] — URLLC sharing the downlink with eMBB: queueing vs
-//!   preemption (the §1 coexistence literature, on this stack).
+//! * [`overload`] — open-loop overload with bounded per-layer buffers,
+//!   typed drops and SLO-driven degradation;
+//! * [`schedlab`] — the scheduler/slicing laboratory (policy × load ×
+//!   slice mix) and, as single-class lab points, URLLC sharing the
+//!   downlink with eMBB: queueing vs preemption (the §1 coexistence
+//!   literature, on this stack);
+//! * [`handover`] — the mobility sweep with Xn forwarding.
 
-pub mod coexistence;
+pub mod cell;
 pub mod config;
 pub mod experiment;
 pub mod handover;
@@ -42,7 +49,6 @@ pub mod pipeline;
 pub mod schedlab;
 pub mod stage_labels;
 
-pub use coexistence::{coexistence_sweep, CoexistencePoint};
 pub use config::{DlPullPoint, StackConfig};
 pub use experiment::{
     run_parallel, run_parallel_opts, run_parallel_profiled, run_parallel_workers, ExperimentResult,
@@ -63,6 +69,6 @@ pub use overload::{
 };
 pub use pipeline::{HopId, HopOutcome, PingCtx, PingEvent};
 pub use schedlab::{
-    run_sched_lab, LabClass, LabClassReport, LabMix, LabPointReport, PreemptionBoundModel,
-    SchedLabConfig,
+    coexistence_sweep, run_sched_lab, CoexistencePoint, LabClass, LabClassReport, LabMix,
+    LabPointReport, PreemptionBoundModel, SchedLabConfig,
 };

@@ -17,12 +17,17 @@
 //!   per-round scheduler work grows with the attached population (§7:
 //!   "higher number of UEs might increase the processing times
 //!   noticeably").
+//!
+//! Grant-based runs on the [`cell`] driver (one scheduler for the whole
+//! population, every slot); grant-free needs no event loop at all, since
+//! each arrival's latency depends only on its own UE.
 
-use ran::sched::{AccessMode, Scheduler, SchedulerConfig};
+use ran::sched::{AccessMode, Rnti, Scheduler};
 use serde::Serialize;
-use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use sim::{Dist, Duration, Instant, Recording, SimRng};
+use telemetry::Profiler;
 
+use crate::cell::{self, CellModel, Ledger, SlotClock, Source, UNBOUNDED};
 use crate::config::StackConfig;
 use crate::node::StackError;
 
@@ -82,158 +87,144 @@ pub struct MultiUeResult {
 /// scheduler (or whose opportunity rotation never cycles) surfaces as
 /// [`StackError::Diverged`] instead of aborting the whole sweep.
 pub fn run_multi_ue(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> {
+    Ok(finish(config, run_span(config, 0, config.n_ues)?))
+}
+
+/// UE `ue`'s Poisson uplink arrivals: a uniform random phase within one
+/// mean interval, then `packets_per_ue` exponential gaps. The stream is
+/// keyed by the UE's *global* index, so any partition of the population
+/// draws the same arrivals.
+fn ue_arrivals(config: &MultiUeConfig, rng: &SimRng, ue: usize) -> Result<Source, StackError> {
+    let mut r = rng.stream_indexed("ue-arrivals", ue as u64);
+    // Random phase so UEs are not synchronised.
+    let phase = Dist::Uniform { lo: Duration::ZERO, hi: config.mean_interval }.sample(&mut r);
+    Ok(Source::poisson(config.mean_interval, None, r, UNBOUNDED, "multi-UE arrivals")?
+        .starting_at(Instant::ZERO + phase, config.packets_per_ue))
+}
+
+/// From UL transmission start to decoded at the gNB: the data's air time
+/// plus the mean gNB-side decode (PHY..SDAP), inflated by the population.
+fn air_and_decode(config: &MultiUeConfig) -> Duration {
+    let decode = population_cost(config, config.base.gnb_timings.mean_total());
+    config.base.data_air_time(config.base.payload_bytes + 32) + decode
+}
+
+/// `base` inflated by this config's population (§7).
+fn population_cost(config: &MultiUeConfig, base: Duration) -> Duration {
+    cell::inflate(base, config.sched_scaling_per_ue, config.n_ues as u64)
+}
+
+/// A result under construction for one UE range. Every field merges
+/// commutatively (histogram buckets, a per-UE-keyed used count, a max), so
+/// any partition of the population into spans reduces to the identical
+/// [`MultiUeResult`].
+struct Span {
+    ul: Recording,
+    /// Grant-free: distinct owned opportunities that carried data.
+    used: u64,
+    /// Grant-free: the last delivery.
+    horizon: Instant,
+}
+
+impl Span {
+    fn merge(&mut self, other: Span) {
+        self.ul.merge(&other.ul);
+        self.used += other.used;
+        self.horizon = self.horizon.max(other.horizon);
+    }
+}
+
+/// UEs `start..start + len` of the experiment. Grant-free walks them one
+/// by one; grant-based shares one scheduler across the population, so it
+/// always runs the whole of it.
+fn run_span(config: &MultiUeConfig, start: usize, len: usize) -> Result<Span, StackError> {
     match config.base.access {
-        AccessMode::GrantFree => run_grant_free(config),
+        AccessMode::GrantFree => grant_free_span(config, start, len),
         AccessMode::GrantBased => run_grant_based(config),
     }
 }
 
-/// Schedules Poisson arrivals for UEs `ue_start..ue_start + ue_len` on one
-/// event queue. Per-UE times ascend and UEs are pushed in index order, so
-/// the queue's `(time, FIFO)` pop order is exactly the old sorted
-/// `(arrival, ue)` sweep — but the arrivals now share the same
-/// future-event machinery as the ping walk. Each UE's stream is keyed by
-/// its *global* index, so any partition of the population draws the same
-/// arrivals.
-fn arrival_queue(
-    config: &MultiUeConfig,
-    rng: &SimRng,
-    ue_start: usize,
-    ue_len: usize,
-) -> EventQueue<usize> {
-    let mut queue = EventQueue::new();
-    for ue in ue_start..ue_start + ue_len {
-        let mut r = rng.stream_indexed("ue-arrivals", ue as u64);
-        let inter = Dist::Exponential { mean: config.mean_interval };
-        // Random phase so UEs are not synchronised.
-        let mut t = Instant::ZERO
-            + Dist::Uniform { lo: Duration::ZERO, hi: config.mean_interval }.sample(&mut r);
-        for _ in 0..config.packets_per_ue {
-            t += inter.sample(&mut r);
-            queue.push(t, ue);
-        }
-    }
-    queue
-}
-
-/// Mean UE-side prep (upper layers + MAC + PHY) for latency accounting.
-fn ue_prep(config: &MultiUeConfig) -> Duration {
-    config.base.ue_timings.mean_total()
-}
-
-/// Mean gNB-side decode (PHY..SDAP), inflated by the population.
-fn gnb_decode(config: &MultiUeConfig) -> Duration {
-    let base = config.base.gnb_timings.mean_total();
-    Duration::from_micros_f64(
-        base.as_micros_f64() * (1.0 + config.sched_scaling_per_ue * config.n_ues as f64),
-    )
-}
-
-/// Partial grant-free result for one UE range. Every field merges
-/// commutatively (histogram buckets, a per-UE-keyed used count, a max), so
-/// any partition of the population into spans reduces to the identical
-/// [`MultiUeResult`].
-struct GrantFreeSpan {
-    ul: Recording,
-    used: u64,
-    horizon: Instant,
-}
-
-/// Runs the grant-free experiment for UEs `ue_start..ue_start + ue_len`.
-/// Each arrival's latency is a pure function of its own arrival time and
-/// the (population-derived) rotation parameters — no shared scheduler
-/// state — which is what makes the per-UE split sound.
+/// Runs the grant-free experiment for UEs `ue_start..ue_start + ue_len`,
+/// one UE after another. Each arrival's latency is a pure function of its
+/// own arrival time and the (population-derived) rotation parameters — no
+/// shared scheduler state — which is what makes the per-UE walk and the
+/// per-span split sound.
 fn grant_free_span(
     config: &MultiUeConfig,
-    rng: &SimRng,
     ue_start: usize,
     ue_len: usize,
-) -> Result<GrantFreeSpan, StackError> {
-    let duplex = &config.base.duplex;
-    let capacity = config.base.slot_capacity_bytes();
-    let grant = config.base.grant_bytes();
-    let per_slot_ues = (capacity / grant).max(1);
-    // Rotation: how many UL opportunities pass between a UE's owned ones.
-    let rotation = config.n_ues.div_ceil(per_slot_ues).max(1) as u64;
-
-    let prep = ue_prep(config);
-    let decode = gnb_decode(config);
-    let mut ul = Recording::fixed();
-    // (ue, ordinal) pairs are keyed by the UE, and every arrival of a UE
-    // lands in its own span — so per-span dedup equals global dedup.
-    let mut used_pairs: BTreeSet<(usize, u64)> = BTreeSet::new();
-    let mut horizon = Instant::ZERO;
-
-    let mut queue = arrival_queue(config, rng, ue_start, ue_len);
-    while let Some((arrival, ue)) = queue.pop() {
-        let ready = arrival + prep;
-        // The UE's owned opportunities are every `rotation`-th UL
-        // opportunity, offset by its index.
-        let mut op = duplex.next_ul_opportunity(ready);
-        let mut op_index = op.slot; // opportunity counting via slot index
-        let residue = ue as u64 % rotation;
-        // Walk forward until the opportunity index matches the UE's turn.
-        let mut guard = 0;
-        while ul_op_ordinal(duplex, op_index) % rotation != residue {
-            op = duplex.next_ul_opportunity(duplex.slot_start(op.slot + 1));
-            op_index = op.slot;
-            guard += 1;
-            if guard >= 10_000 {
-                return Err(StackError::Diverged(format!(
-                    "rotation search found no owned opportunity for ue {ue} \
-                     (rotation {rotation}) within 10000 slots"
-                )));
-            }
-        }
-        let done = op.tx_start + config.base.data_air_time(config.base.payload_bytes + 32) + decode;
-        ul.record(done - arrival);
-        used_pairs.insert((ue, ul_op_ordinal(duplex, op.slot)));
-        horizon = horizon.max(done);
-    }
-    Ok(GrantFreeSpan { ul, used: used_pairs.len() as u64, horizon })
-}
-
-/// Assembles the full grant-free result from merged spans.
-fn grant_free_result(
-    config: &MultiUeConfig,
-    ul: Recording,
-    used: u64,
-    horizon: Instant,
-) -> MultiUeResult {
-    let capacity = config.base.slot_capacity_bytes();
-    let grant = config.base.grant_bytes();
-    let per_slot_ues = (capacity / grant).max(1);
-    let rotation = config.n_ues.div_ceil(per_slot_ues).max(1) as u64;
-    // Owned-but-unused opportunities: each UE owns one opportunity per
-    // rotation period over the whole horizon.
-    let total_ul_ops = count_ul_ops(&config.base.duplex, horizon);
-    let owned_per_ue = total_ul_ops / rotation;
-    let owned_total = owned_per_ue * config.n_ues as u64;
-    let wasted = owned_total.saturating_sub(used);
-    MultiUeResult {
-        n_ues: config.n_ues,
-        ul,
-        wasted_fraction: Some(if owned_total == 0 {
-            0.0
-        } else {
-            wasted as f64 / owned_total as f64
-        }),
-        rotation_period: Some(rotation),
-    }
-}
-
-fn run_grant_free(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> {
+) -> Result<Span, StackError> {
     let rng = SimRng::from_seed(config.base.seed);
+    let duplex = &config.base.duplex;
+    let rotation = rotation(config);
+
+    // Mean UE-side prep (upper layers + MAC + PHY).
+    let prep = config.base.ue_timings.mean_total();
+    let air_decode = air_and_decode(config);
     let mut ul = Recording::fixed();
     let mut used = 0u64;
     let mut horizon = Instant::ZERO;
-    for (start, len) in sim::parallel::shard_ranges(config.n_ues as u64, SUB_SHARD_UES as u64) {
-        let span = grant_free_span(config, &rng, start as usize, len as usize)?;
-        ul.merge(&span.ul);
-        used += span.used;
-        horizon = horizon.max(span.horizon);
+
+    for ue in ue_start..ue_start + ue_len {
+        let residue = ue as u64 % rotation;
+        // A UE's owned opportunities only move forward with its arrivals,
+        // so counting ordinal changes counts the distinct ones it used.
+        let mut last_used = None;
+        for arrival in ue_arrivals(config, &rng, ue)? {
+            let ready = arrival + prep;
+            // The UE's owned opportunities are every `rotation`-th UL
+            // opportunity, offset by its index.
+            let mut op = duplex.next_ul_opportunity(ready);
+            // Walk forward until the opportunity index matches the UE's turn.
+            let mut guard = 0;
+            while ul_op_ordinal(duplex, op.slot) % rotation != residue {
+                op = duplex.next_ul_opportunity(duplex.slot_start(op.slot + 1));
+                guard += 1;
+                if guard >= 10_000 {
+                    return Err(StackError::Diverged(format!(
+                        "rotation search found no owned opportunity for ue {ue} \
+                         (rotation {rotation}) within 10000 slots"
+                    )));
+                }
+            }
+            let done = op.tx_start + air_decode;
+            ul.record(done - arrival);
+            let ordinal = ul_op_ordinal(duplex, op.slot);
+            if last_used != Some(ordinal) {
+                last_used = Some(ordinal);
+                used += 1;
+            }
+            horizon = horizon.max(done);
+        }
     }
-    Ok(grant_free_result(config, ul, used, horizon))
+    Ok(Span { ul, used, horizon })
+}
+
+/// Assembles the result from the population's merged spans.
+/// Rotation and waste are grant-free quantities.
+fn finish(config: &MultiUeConfig, span: Span) -> MultiUeResult {
+    let grant_free = config.base.access == AccessMode::GrantFree;
+    let rotation = rotation(config);
+    // Owned-but-unused opportunities: each UE owns one opportunity per
+    // rotation period over the whole horizon.
+    let duplex = &config.base.duplex;
+    let total_ul_ops = ul_op_ordinal(duplex, duplex.slot_index_at(span.horizon));
+    let owned_total = total_ul_ops / rotation * config.n_ues as u64;
+    let wasted = owned_total.saturating_sub(span.used);
+    MultiUeResult {
+        n_ues: config.n_ues,
+        ul: span.ul,
+        // Nothing owned means nothing wasted: 0 / 1.
+        wasted_fraction: grant_free.then(|| wasted as f64 / owned_total.max(1) as f64),
+        rotation_period: grant_free.then_some(rotation),
+    }
+}
+
+/// Grant-free rotation: how many UL opportunities pass between a UE's
+/// owned ones once the population outgrows one opportunity's capacity.
+fn rotation(config: &MultiUeConfig) -> u64 {
+    let per_slot_ues = (config.base.slot_capacity_bytes() / config.base.grant_bytes()).max(1);
+    config.n_ues.div_ceil(per_slot_ues).max(1) as u64
 }
 
 /// Ordinal of the UL opportunity carried by `slot` (how many UL-capable
@@ -251,88 +242,66 @@ fn ul_op_ordinal(duplex: &phy::duplex::Duplex, slot: u64) -> u64 {
     }
 }
 
-/// Number of UL opportunities up to `horizon`.
-fn count_ul_ops(duplex: &phy::duplex::Duplex, horizon: Instant) -> u64 {
-    let slots = horizon.as_nanos() / duplex.slot_duration().as_nanos();
-    ul_op_ordinal(duplex, slots)
+/// The grant-based experiment on the [`cell`] driver: each arrival sends
+/// a one-bit SR in the next UL opportunity, the scheduler runs every slot,
+/// and the ledger matches each grant to the UE's oldest waiting packet.
+struct GrantBased {
+    sched: Scheduler,
+    ledger: Ledger,
+    ul: Recording,
+    prep: Duration,
+    sr_decode: Duration,
+    /// Data air time plus population-inflated gNB decode.
+    air_decode: Duration,
 }
 
-fn run_grant_based(config: &MultiUeConfig) -> Result<MultiUeResult, StackError> {
-    let duplex = config.base.duplex.clone();
-    let mut sched_cfg: SchedulerConfig = config.base.scheduler_config();
-    sched_cfg.access = AccessMode::GrantBased;
-    let mut sched = Scheduler::new(sched_cfg);
-    let prep = ue_prep(config);
-    let decode = gnb_decode(config);
-    // Scheduler work grows with the population: SR decode inflates too.
-    let sr_decode = Duration::from_micros_f64(
-        100.0 * (1.0 + config.sched_scaling_per_ue * config.n_ues as f64),
-    );
-    let rng = SimRng::from_seed(config.base.seed);
-    let mut ul = Recording::fixed();
-    // FIFO of outstanding arrivals per UE, so grants (possibly served in a
-    // later round than they were requested) are attributed correctly.
-    let mut outstanding: BTreeMap<u16, VecDeque<Instant>> = BTreeMap::new();
-    let air = config.base.data_air_time(config.base.payload_bytes + 32);
+impl CellModel for GrantBased {
+    const CLOCK: SlotClock = SlotClock::EverySlot;
 
-    // A grant for an RNTI that never sent an SR, or for a UE whose every
-    // outstanding packet was already served, means the scheduler's grant
-    // queue and our arrival ledger have diverged — reachable when a
-    // saturated scheduler re-issues grants past its own bookkeeping, so
-    // it surfaces as a typed error instead of a panic.
-    let serve = |decision: ran::sched::SlotDecision,
-                 outstanding: &mut BTreeMap<u16, VecDeque<Instant>>,
-                 ul: &mut Recording|
-     -> Result<(), StackError> {
-        for grant in decision.ul_grants {
-            let queue = outstanding.get_mut(&grant.rnti).ok_or_else(|| {
-                StackError::Diverged(format!(
-                    "scheduler granted rnti {} which never requested uplink",
-                    grant.rnti
-                ))
-            })?;
-            let arrival = queue.pop_front().ok_or_else(|| {
-                StackError::Diverged(format!(
-                    "scheduler over-granted rnti {}: no outstanding packet",
-                    grant.rnti
-                ))
-            })?;
-            ul.record(grant.ul.tx_start + air + decode - arrival);
+    fn on_arrival(&mut self, ue: usize, arrival: Instant) {
+        // SR: one bit in the next UL opportunity (no contention).
+        let duplex = &self.sched.config().duplex;
+        let sr_op = duplex.next_ul_opportunity(arrival + self.prep);
+        let sr_visible = sr_op.tx_start + duplex.numerology().symbol_offset(1) + self.sr_decode;
+        self.ledger.push(ue as Rnti, arrival);
+        self.sched.on_sr(ue as Rnti, sr_visible);
+    }
+
+    fn on_slot(&mut self, _now: Instant, slot: u64) -> Result<(), StackError> {
+        for grant in self.sched.run_slot(slot).ul_grants {
+            let arrival = self.ledger.pop(grant.rnti)?;
+            self.ul.record(grant.ul.tx_start + self.air_decode - arrival);
         }
         Ok(())
+    }
+
+    fn work_left(&self) -> bool {
+        !self.ledger.is_empty()
+    }
+}
+
+fn run_grant_based(config: &MultiUeConfig) -> Result<Span, StackError> {
+    let rng = SimRng::from_seed(config.base.seed);
+    let mut sources =
+        (0..config.n_ues).map(|ue| ue_arrivals(config, &rng, ue)).collect::<Result<Vec<_>, _>>()?;
+    let mut model = GrantBased {
+        sched: Scheduler::new(config.base.scheduler_config()),
+        ledger: Ledger::default(),
+        ul: Recording::fixed(),
+        prep: config.base.ue_timings.mean_total(),
+        // Scheduler work grows with the population: SR decode inflates too.
+        sr_decode: population_cost(config, Duration::from_micros(100)),
+        air_decode: air_and_decode(config),
     };
-
-    let mut last_boundary = 0u64;
-    let mut queue = arrival_queue(config, &rng, 0, config.n_ues);
-    while let Some((arrival, ue)) = queue.pop() {
-        let ready = arrival + prep;
-        // SR: one bit in the next UL opportunity (no contention).
-        let sr_op = duplex.next_ul_opportunity(ready);
-        let sr_visible = sr_op.tx_start + duplex.numerology().symbol_offset(1) + sr_decode;
-        outstanding.entry(ue as u16).or_default().push_back(arrival);
-        sched.on_sr(ue as u16, sr_visible);
-        // Keep scheduler invocations monotone.
-        let boundary = (duplex.slot_index_at(sr_visible) + 1).max(last_boundary);
-        last_boundary = boundary;
-        serve(sched.run_slot(boundary), &mut outstanding, &mut ul)?;
+    cell::drive(&mut model, &mut sources, &config.base.duplex, UNBOUNDED, &Profiler::disabled())?;
+    if !model.ledger.is_empty() {
+        return Err(StackError::Diverged(format!(
+            "scheduler still holds SRs 4096 TDD periods after the last arrival \
+             ({} UEs over-saturate the cell)",
+            config.n_ues
+        )));
     }
-    // Flush any SRs deferred past the last boundary.
-    let mut guard = 0;
-    while sched.backlog().0 > 0 {
-        last_boundary += 1;
-        serve(sched.run_slot(last_boundary), &mut outstanding, &mut ul)?;
-        guard += 1;
-        if guard >= 100_000 {
-            return Err(StackError::Diverged(format!(
-                "scheduler holds {} SRs it cannot drain within 100000 flush rounds \
-                 ({} UEs over-saturate the cell)",
-                sched.backlog().0,
-                config.n_ues,
-            )));
-        }
-    }
-
-    Ok(MultiUeResult { n_ues: config.n_ues, ul, wasted_fraction: None, rotation_period: None })
+    Ok(Span { ul: model.ul, used: 0, horizon: Instant::ZERO })
 }
 
 /// Sweeps the UE population, returning one result per point. The sweep is
@@ -353,14 +322,6 @@ pub fn scalability_sweep(
     populations: &[usize],
     seed: u64,
 ) -> Result<Vec<MultiUeResult>, StackError> {
-    enum Shard {
-        Whole(usize),
-        Span { point: usize, start: usize, len: usize },
-    }
-    enum Out {
-        Whole(MultiUeResult),
-        Span(GrantFreeSpan),
-    }
     let configs: Vec<MultiUeConfig> = populations
         .iter()
         .map(|&n| {
@@ -371,49 +332,24 @@ pub fn scalability_sweep(
         .collect();
     let mut shards = Vec::new();
     for (point, &n) in populations.iter().enumerate() {
-        match access {
-            AccessMode::GrantFree => {
-                for (start, len) in sim::parallel::shard_ranges(n as u64, SUB_SHARD_UES as u64) {
-                    shards.push(Shard::Span { point, start: start as usize, len: len as usize });
-                }
-            }
-            AccessMode::GrantBased => shards.push(Shard::Whole(point)),
+        let unit = if access == AccessMode::GrantFree { SUB_SHARD_UES } else { n.max(1) };
+        for (start, len) in sim::parallel::shard_ranges(n as u64, unit as u64) {
+            shards.push((point, start as usize, len as usize));
         }
     }
-    let outs = sim::parallel::run_shards(shards.len(), |i| match shards[i] {
-        Shard::Whole(point) => run_multi_ue(&configs[point]).map(|r| (point, Out::Whole(r))),
-        Shard::Span { point, start, len } => {
-            let cfg = &configs[point];
-            let rng = SimRng::from_seed(cfg.base.seed);
-            grant_free_span(cfg, &rng, start, len).map(|s| (point, Out::Span(s)))
-        }
+    let outs = sim::parallel::run_shards(shards.len(), |i| {
+        let (point, start, len) = shards[i];
+        run_span(&configs[point], start, len)
     });
     // Reduce in shard-index order; spans of one point are contiguous.
-    let mut results: Vec<Option<MultiUeResult>> = Vec::new();
-    results.resize_with(populations.len(), || None);
-    let mut partial: Vec<(Recording, u64, Instant)> =
-        populations.iter().map(|_| (Recording::fixed(), 0u64, Instant::ZERO)).collect();
-    for out in outs {
-        let (point, out) = out?;
-        match out {
-            Out::Whole(r) => results[point] = Some(r),
-            Out::Span(s) => {
-                let acc = &mut partial[point];
-                acc.0.merge(&s.ul);
-                acc.1 += s.used;
-                acc.2 = acc.2.max(s.horizon);
-            }
-        }
+    let mut spans: Vec<Span> = configs
+        .iter()
+        .map(|_| Span { ul: Recording::fixed(), used: 0, horizon: Instant::ZERO })
+        .collect();
+    for (&(point, ..), out) in shards.iter().zip(outs) {
+        spans[point].merge(out?);
     }
-    Ok(results
-        .into_iter()
-        .zip(partial)
-        .zip(&configs)
-        .map(|((whole, (ul, used, horizon)), cfg)| match whole {
-            Some(r) => r,
-            None => grant_free_result(cfg, ul, used, horizon),
-        })
-        .collect())
+    Ok(configs.iter().zip(spans).map(|(cfg, span)| finish(cfg, span)).collect())
 }
 
 #[cfg(test)]

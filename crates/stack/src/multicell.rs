@@ -1,13 +1,14 @@
-//! City-scale multi-cell downlink simulation — ROADMAP item 1.
+//! City-scale multi-cell downlink simulation (experiment X13).
 //!
 //! The paper's feasibility question ("is 0.5 ms / five-nines close or
 //! distant?") is only answered at scale: one cell with a few hundred
 //! closed-loop UEs never reaches the queueing and scheduler-contention
 //! regimes where URLLC actually fails. This module simulates an N-gNB
-//! topology where every cell owns its own event queue, slot clock, and a
-//! heterogeneous UE population (count × arrival rate × packet size ×
-//! priority × deadline, per-cell mix), and fans the cells across
-//! [`sim::parallel`] shards with *cells as the shard boundary*.
+//! topology where every cell is its own [`cell::drive`] run — own event
+//! queue, own DL slot clock — over a heterogeneous UE population (count ×
+//! arrival rate × packet size × priority × deadline, per-cell mix), and
+//! fans the cells across [`sim::parallel`] shards with *cells as the
+//! shard boundary*.
 //!
 //! ## How 10⁵–10⁶ UEs fit in fixed memory
 //!
@@ -17,7 +18,7 @@
 //! * **Arrivals are aggregated per class.** The superposition of `n`
 //!   independent Poisson processes of rate `λ` is a Poisson process of
 //!   rate `n·λ`, exactly — so a class of 55 000 sensors is one
-//!   self-rescheduling arrival event, not 55 000 event streams. The UE
+//!   [`cell::Source`] with one pending arrival, not 55 000 event streams. The UE
 //!   count still matters: it sets the aggregate rate and inflates the
 //!   gNB's per-packet scheduling/decode work ("higher number of UEs might
 //!   increase the processing times noticeably", §7).
@@ -37,10 +38,14 @@
 //! the master seed and shares no state with its neighbours, so the shard
 //! reduction (index order) is byte-identical at any worker count.
 
-use ran::sched::{PolicySpec, RequestTag, Rnti, SchedItem, Slice};
-use serde::Serialize;
-use sim::{Dist, Duration, EventQueue, Instant, Recording, SimRng};
+use std::collections::VecDeque;
 
+use ran::sched::{PolicySpec, RequestTag, Rnti, SchedItem, SchedulingPolicy, Slice};
+use serde::Serialize;
+use sim::{Duration, Instant, Recording, SimRng};
+use telemetry::Profiler;
+
+use crate::cell::{self, CellModel, SlotClock, Source};
 use crate::config::StackConfig;
 use crate::node::StackError;
 
@@ -60,13 +65,6 @@ pub struct UeClass {
     pub priority: u8,
     /// Per-class delivery deadline (arrival → decoded at the UE).
     pub deadline: Duration,
-}
-
-impl UeClass {
-    /// Aggregate packet arrival rate of the whole class (packets/s).
-    pub fn aggregate_pps(&self) -> f64 {
-        self.count as f64 / (self.mean_interval.as_micros_f64() / 1e6)
-    }
 }
 
 /// One gNB and its population mix.
@@ -180,20 +178,7 @@ pub(crate) fn slice_of(priority: u8) -> Slice {
 /// Mean downlink capacity in bytes/s under the configured duplex pattern.
 pub(crate) fn dl_capacity_bytes_per_sec(stack: &StackConfig) -> f64 {
     let slot_s = stack.duplex.slot_duration().as_micros_f64() / 1e6;
-    // Count DL-capable slots over one pattern period by walking real
-    // opportunities (works for FDD and any TDD pattern).
-    let period = stack.duplex.pattern_period();
-    let period_slots = (period.as_nanos() / stack.duplex.slot_duration().as_nanos()).max(1);
-    let mut dl_slots = 0u64;
-    let mut at = Instant::ZERO;
-    loop {
-        let op = stack.duplex.next_dl_opportunity(at);
-        if op.slot >= period_slots {
-            break;
-        }
-        dl_slots += 1;
-        at = stack.duplex.slot_start(op.slot + 1);
-    }
+    let (period_slots, dl_slots) = cell::dl_slots_per_period(&stack.duplex);
     let dl_frac = dl_slots as f64 / period_slots as f64;
     stack.slot_capacity_bytes() as f64 * dl_frac / slot_s
 }
@@ -339,15 +324,107 @@ impl MulticellReport {
     }
 }
 
-/// Events on one cell's queue: one self-rescheduling aggregate arrival
-/// per class, plus the slot clock. The queue never holds more than
-/// `classes + 1` events.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Aggregate arrival for class `usize` (index into the sorted mix).
-    Arrival(usize),
-    /// A DL slot boundary (payload: the global slot index).
-    Slot(u64),
+/// One cell on the [`cell`] driver: bounded per-class FIFOs of arrival
+/// instants, served straight into each DL opportunity in the policy's
+/// class order with head-of-line segmentation across slots.
+struct Cell<'a> {
+    config: &'a MulticellConfig,
+    /// The population, sorted by priority (ties keep config order).
+    classes: Vec<&'a UeClass>,
+    /// Per-cell policy instance (round-robin cursors and the like are
+    /// per-cell state, exactly like a real gNB scheduler's).
+    policy: Box<dyn SchedulingPolicy>,
+    class_seq: u64,
+    /// Population-inflated gNB per-packet work (§7).
+    decode: Duration,
+    /// Bytes one DL slot carries.
+    slot_bytes: usize,
+    queues: Vec<VecDeque<Instant>>,
+    /// Bytes of each class's head packet already sent in earlier slots.
+    head_sent: Vec<usize>,
+    reports: Vec<ClassReport>,
+    peak_queue: usize,
+}
+
+impl CellModel for Cell<'_> {
+    const CLOCK: SlotClock = SlotClock::DlOpportunity;
+
+    fn on_arrival(&mut self, ci: usize, now: Instant) {
+        self.reports[ci].offered += 1;
+        if self.queues[ci].len() >= self.config.queue_cap {
+            // Tail drop: the fixed-memory guarantee for cells offered
+            // more than they can serve.
+            self.reports[ci].dropped += 1;
+        } else {
+            self.queues[ci].push_back(now);
+        }
+    }
+
+    fn on_slot(&mut self, now: Instant, _slot: u64) -> Result<(), StackError> {
+        let stack = &self.config.stack;
+        let mut budget = self.slot_bytes;
+        let mut sent = 0usize;
+        // The policy picks this slot's class service order. Each class is
+        // one item tagged with its priority, slice, and the head packet's
+        // absolute deadline (what EDF keys on).
+        let mut order: Vec<SchedItem> = self
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(ci, class)| SchedItem {
+                rnti: ci as Rnti,
+                bytes: class.packet_bytes + 32,
+                ready: now,
+                tag: RequestTag {
+                    priority: class.priority,
+                    deadline: self.queues[ci].front().map(|&a| a + class.deadline),
+                    slice: slice_of(class.priority),
+                },
+                seq: self.class_seq + ci as u64,
+            })
+            .collect();
+        self.class_seq += self.classes.len() as u64;
+        self.policy.order(now, &mut order);
+        for item in &order {
+            let ci = item.rnti as usize;
+            let class = self.classes[ci];
+            let wire = class.packet_bytes + 32; // layer overheads
+            while budget > 0 {
+                let Some(&arrival) = self.queues[ci].front() else { break };
+                // RLC segmentation: a packet larger than the remaining
+                // slot budget sends what fits and resumes next slot
+                // (`head_sent` carries over), so video-sized SDUs span
+                // slots instead of wedging behind a budget they can never
+                // meet.
+                let take = (wire - self.head_sent[ci]).min(budget);
+                budget -= take;
+                sent += take;
+                self.head_sent[ci] += take;
+                if self.head_sent[ci] < wire {
+                    break; // slot exhausted mid-packet
+                }
+                self.head_sent[ci] = 0;
+                self.queues[ci].pop_front();
+                // Delivery: slot TX start + air time of everything sent so
+                // far this slot + population-inflated decode.
+                let done = now + stack.data_air_time(sent) + self.decode;
+                let latency = done - arrival;
+                let report = &mut self.reports[ci];
+                report.delivered += 1;
+                if latency > class.deadline {
+                    report.late += 1;
+                }
+                report.latency.record(latency);
+            }
+        }
+        let depth: usize = self.queues.iter().map(VecDeque::len).sum();
+        self.peak_queue = self.peak_queue.max(depth);
+        Ok(())
+    }
+
+    fn work_left(&self) -> bool {
+        self.queues.iter().any(|q| !q.is_empty())
+    }
 }
 
 /// Runs one cell to completion. Pure function of `(config, cell index)` —
@@ -357,175 +434,55 @@ fn run_cell(config: &MulticellConfig, cell_idx: usize) -> Result<CellReport, Sta
     let cell = &config.cells[cell_idx];
     let rng = SimRng::from_seed(stack.seed).stream_indexed("cell", cell_idx as u64);
     let horizon = Instant::ZERO + config.horizon;
-    let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
     let n_ues = cell.n_ues();
 
     // Serve in priority order; ties broken by config order (stable sort).
     let mut classes: Vec<&UeClass> = cell.classes.iter().collect();
     classes.sort_by_key(|c| c.priority);
-
-    // Each cell runs its own policy instance (round-robin cursors and the
-    // like are per-cell state, exactly like a real gNB scheduler's).
-    let mut policy = config.policy.build();
-    let mut class_seq = 0u64;
-
-    // gNB per-packet work grows with the attached population (§7).
-    let decode = {
-        let base = stack.gnb_timings.mean_total();
-        Duration::from_micros_f64(
-            base.as_micros_f64() * (1.0 + config.sched_scaling_per_ue * n_ues as f64),
-        )
-    };
-
-    // Per-class state: bounded FIFO of arrival instants, arrival sampler,
-    // and the outcome counters.
-    let mut queues: Vec<std::collections::VecDeque<Instant>> =
-        classes.iter().map(|_| std::collections::VecDeque::new()).collect();
-    // Bytes of each class's head packet already sent in earlier slots.
-    let mut head_sent: Vec<usize> = vec![0; classes.len()];
-    let mut reports: Vec<ClassReport> = classes
-        .iter()
-        .map(|c| ClassReport {
-            name: c.name,
-            ues: c.count,
-            offered: 0,
-            delivered: 0,
-            late: 0,
-            dropped: 0,
-            in_flight: 0,
-            latency: Recording::fixed(),
-        })
-        .collect();
-    let mut samplers: Vec<(Dist, SimRng)> = classes
+    let mut sources = classes
         .iter()
         .map(|c| {
-            // Aggregate Poisson: n independent rate-λ processes merge into
-            // one rate-n·λ process, exactly.
-            let mean_us = c.mean_interval.as_micros_f64() / c.count as f64;
-            let dist = Dist::Exponential { mean: Duration::from_micros_f64(mean_us) };
-            (dist, rng.stream_indexed("class-arrivals", c.priority as u64))
+            let mean = Duration::from_micros_f64(c.mean_interval.as_micros_f64() / c.count as f64);
+            let r = rng.stream_indexed("class-arrivals", c.priority as u64);
+            Source::poisson(mean, None, r, horizon, &format!("cell {cell_idx} class {}", c.name))
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut model = Cell {
+        config,
+        policy: config.policy.build(),
+        class_seq: 0,
+        decode: cell::inflate(stack.gnb_timings.mean_total(), config.sched_scaling_per_ue, n_ues),
+        slot_bytes: stack.slot_capacity_bytes(),
+        queues: classes.iter().map(|_| VecDeque::new()).collect(),
+        head_sent: vec![0; classes.len()],
+        reports: classes
+            .iter()
+            .map(|c| ClassReport {
+                name: c.name,
+                ues: c.count,
+                offered: 0,
+                delivered: 0,
+                late: 0,
+                dropped: 0,
+                in_flight: 0,
+                latency: Recording::fixed(),
+            })
+            .collect(),
+        peak_queue: 0,
+        classes,
+    };
+    let run = cell::drive(&mut model, &mut sources, &stack.duplex, horizon, &Profiler::disabled())?;
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for (ci, (dist, r)) in samplers.iter_mut().enumerate() {
-        let first = Instant::ZERO + dist.sample(r);
-        if first < horizon {
-            // Arrivals outrank the slot event at the same instant so a
-            // packet arriving exactly on a boundary is eligible for it.
-            queue.push_with_priority(first, 0, Ev::Arrival(ci));
-        }
-    }
-    let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
-    queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
-
-    let slot_bytes = stack.slot_capacity_bytes();
-    let mut peak_queue = 0usize;
-    let mut peak_events = 0usize;
-    let mut total_slots = 0u64;
-
-    while let Some((now, ev)) = queue.pop() {
-        peak_events = peak_events.max(queue.len() + 1);
-        match ev {
-            Ev::Arrival(ci) => {
-                reports[ci].offered += 1;
-                if queues[ci].len() >= config.queue_cap {
-                    // Tail drop: the fixed-memory guarantee for cells
-                    // offered more than they can serve.
-                    reports[ci].dropped += 1;
-                } else {
-                    queues[ci].push_back(now);
-                }
-                let (dist, r) = &mut samplers[ci];
-                let next = now + dist.sample(r);
-                if next < horizon {
-                    queue.push_with_priority(next, 0, Ev::Arrival(ci));
-                }
-            }
-            Ev::Slot(slot) => {
-                total_slots += 1;
-                let mut budget = slot_bytes;
-                let mut sent = 0usize;
-                // The policy picks this slot's class service order. Each
-                // class is one item tagged with its priority, slice, and
-                // the head packet's absolute deadline (what EDF keys on).
-                let mut order: Vec<SchedItem> = classes
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, class)| SchedItem {
-                        rnti: ci as Rnti,
-                        bytes: class.packet_bytes + 32,
-                        ready: now,
-                        tag: RequestTag {
-                            priority: class.priority,
-                            deadline: queues[ci].front().map(|&a| a + class.deadline),
-                            slice: slice_of(class.priority),
-                        },
-                        seq: class_seq + ci as u64,
-                    })
-                    .collect();
-                class_seq += classes.len() as u64;
-                policy.order(now, &mut order);
-                for item in &order {
-                    let ci = item.rnti as usize;
-                    let class = classes[ci];
-                    let wire = class.packet_bytes + 32; // layer overheads
-                    while budget > 0 {
-                        let Some(&arrival) = queues[ci].front() else { break };
-                        // RLC segmentation: a packet larger than the
-                        // remaining slot budget sends what fits and
-                        // resumes next slot (`head_sent` carries over),
-                        // so video-sized SDUs span slots instead of
-                        // wedging behind a budget they can never meet.
-                        let take = (wire - head_sent[ci]).min(budget);
-                        budget -= take;
-                        sent += take;
-                        head_sent[ci] += take;
-                        if head_sent[ci] < wire {
-                            break; // slot exhausted mid-packet
-                        }
-                        head_sent[ci] = 0;
-                        queues[ci].pop_front();
-                        // Delivery: slot TX start + air time of everything
-                        // sent so far this slot + population-inflated
-                        // decode.
-                        let done = now + stack.data_air_time(sent) + decode;
-                        let latency = done - arrival;
-                        reports[ci].delivered += 1;
-                        if latency > class.deadline {
-                            reports[ci].late += 1;
-                        }
-                        reports[ci].latency.record(latency);
-                    }
-                }
-                let depth: usize = queues.iter().map(|q| q.len()).sum();
-                peak_queue = peak_queue.max(depth);
-                let backlog = depth > 0;
-                if !queue.is_empty() || backlog {
-                    let after = stack.duplex.slot_start(slot + 1);
-                    let op = stack.duplex.next_dl_opportunity(after);
-                    if op.tx_start <= drain_limit {
-                        queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
-                    } else {
-                        // Drain budget exhausted: a wedged cell surfaces
-                        // as in_flight > 0, not a hang.
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    for (ci, q) in queues.iter().enumerate() {
-        reports[ci].in_flight = q.len() as u64;
+    for (report, q) in model.reports.iter_mut().zip(&model.queues) {
+        report.in_flight = q.len() as u64;
     }
     let report = CellReport {
         cell: cell_idx,
         n_ues,
-        classes: reports,
-        peak_queue,
-        peak_events,
-        total_slots,
+        classes: model.reports,
+        peak_queue: model.peak_queue,
+        peak_events: run.peak_events,
+        total_slots: run.total_slots,
     };
     if !report.conserved() {
         return Err(StackError::Diverged(format!(

@@ -47,6 +47,9 @@ pub enum StackError {
     /// A simulation loop exceeded its progress guard — the configuration
     /// cannot drain its own load (e.g. scheduler saturation).
     Diverged(String),
+    /// A configuration the engine cannot run (e.g. a zero arrival mean or
+    /// a packet no slot can carry).
+    InvalidConfig(String),
 }
 
 impl core::fmt::Display for StackError {
@@ -60,6 +63,7 @@ impl core::fmt::Display for StackError {
             StackError::Core(e) => write!(f, "core: {e}"),
             StackError::UnknownRnti(r) => write!(f, "unknown RNTI {r}"),
             StackError::Diverged(e) => write!(f, "diverged: {e}"),
+            StackError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! The closed-loop [`crate::experiment`] walk sends one ping at a time, so
 //! queues can never form and offered load is bounded by the service rate
-//! by construction. This module is the open-loop counterpart: a
-//! [`sim::ArrivalGen`] injects packets onto a shared [`sim::EventQueue`]
+//! by construction. This module is the open-loop counterpart, run on the
+//! [`cell`] driver: [`sim::ArrivalGen`] sources inject packets
 //! independent of completions, real RAN entities (PDCP with a TS 38.323
 //! discardTimer, capped RLC UM buffers, a bounded MAC/HARQ backlog) absorb
 //! the backlog, and every packet ends in exactly one of three ledgers —
@@ -33,10 +33,12 @@ use ran::mac::MacBacklog;
 use ran::pdcp::{Direction, PdcpConfig, PdcpEntity};
 use ran::rlc::{RlcError, RlcUmEntity};
 use ran::sched::{PolicySpec, RequestTag, SchedItem, SchedulingPolicy, Slice};
-use sim::{ArrivalGen, ArrivalProcess, Duration, EventQueue, Instant, Recording, SimRng};
+use sim::{ArrivalProcess, Duration, Instant, Recording, SimRng};
 use telemetry::{JournalEvent, Profiler, Telemetry};
 
+use crate::cell::{self, CellModel, SlotClock, Source};
 use crate::config::StackConfig;
+use crate::node::StackError;
 
 /// Why a packet was dropped — the typed taxonomy behind the journal's
 /// `Drop` events and the overload CSV's per-reason columns.
@@ -212,17 +214,7 @@ impl OverloadConfig {
 pub fn service_capacity_pps(stack: &StackConfig, wire_bytes: usize) -> f64 {
     let per_slot = (stack.slot_capacity_bytes() / wire_bytes.max(1)) as f64;
     let period = stack.duplex.pattern_period();
-    let mut dl_slots = 0u32;
-    let mut at = Instant::ZERO;
-    while at < Instant::ZERO + period {
-        let op = stack.duplex.next_dl_opportunity(at);
-        if stack.duplex.slot_start(op.slot) >= Instant::ZERO + period {
-            break;
-        }
-        dl_slots += 1;
-        at = stack.duplex.slot_start(op.slot + 1);
-    }
-    f64::from(dl_slots) * per_slot / (period.as_micros_f64() / 1e6)
+    cell::dl_slots_per_period(&stack.duplex).1 as f64 * per_slot / (period.as_micros_f64() / 1e6)
 }
 
 /// A transport block awaiting (re)transmission in the HARQ backlog.
@@ -241,7 +233,7 @@ struct TbEntry {
 /// What the open-loop run produced. URLLC packets are conserved exactly:
 /// [`offered`](Self::offered) `==` [`delivered`](Self::delivered) `+`
 /// [`drops`](Self::drops)`.total() +` [`in_flight`](Self::in_flight).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OverloadReport {
     /// URLLC packets injected.
     pub offered: u64,
@@ -318,22 +310,15 @@ impl OverloadReport {
     }
 }
 
-/// Events on the shared queue. Arrivals are self-rescheduling: each one
-/// schedules its successor, so the queue never holds more than one pending
-/// arrival per process regardless of the offered rate.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    UrllcArrival,
-    EmbbArrival,
-    /// A DL slot boundary (payload: the global slot index).
-    Slot(u64),
-}
-
 /// The engine proper. Bundling the mutable state lets the per-event logic
 /// live in methods instead of one borrow-tangled closure soup.
 struct Engine<'a> {
     cfg: &'a OverloadConfig,
     tel: &'a Telemetry,
+    hook: &'a mut dyn SloHook,
+    /// The URLLC SDU (class 0) and the eMBB SDU size (class 1).
+    payload: Bytes,
+    embb_bytes: usize,
     slot_bytes: usize,
     wire_bytes: usize,
     pdcp: PdcpEntity,
@@ -359,23 +344,17 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn drop_urllc(&mut self, hook: &mut dyn SloHook, count: u32, at: Instant, reason: DropReason) {
+    fn drop_urllc(&mut self, count: u32, at: Instant, reason: DropReason) {
         self.report.drops.add(reason);
         self.tel.journal(JournalEvent::Drop { ping: u64::from(count), at, reason: reason.label() });
-        hook.observe(at, true);
+        self.hook.observe(at, true);
     }
 
     /// One transmission attempt of a transport block: draws the BLER
     /// coin, delivers on success (delivery instant = slot TX start + air
     /// time of everything sent so far this slot), requeues or drops on
     /// failure.
-    fn transmit_tb(
-        &mut self,
-        mut tb: TbEntry,
-        slot_tx_start: Instant,
-        cumulative_sent: usize,
-        hook: &mut dyn SloHook,
-    ) {
+    fn transmit_tb(&mut self, mut tb: TbEntry, slot_tx_start: Instant, cumulative_sent: usize) {
         tb.tx_count += 1;
         let failed = self.cfg.bler > 0.0 && self.bler_rng.chance(self.cfg.bler);
         if !failed {
@@ -388,21 +367,19 @@ impl Engine<'_> {
                 if miss {
                     self.report.late += 1;
                 }
-                hook.observe(deliver, miss);
+                self.hook.observe(deliver, miss);
             }
             return;
         }
         if tb.tx_count >= self.cfg.stack.harq_max_tx {
-            for i in 0..tb.ids.len() {
-                let count = tb.ids[i];
-                self.drop_urllc(hook, count, slot_tx_start, DropReason::HarqExhausted);
+            for &count in &tb.ids {
+                self.drop_urllc(count, slot_tx_start, DropReason::HarqExhausted);
             }
             return;
         }
         if self.harq.len() >= self.harq.capacity() {
-            for i in 0..tb.ids.len() {
-                let count = tb.ids[i];
-                self.drop_urllc(hook, count, slot_tx_start, DropReason::MacBacklogFull);
+            for &count in &tb.ids {
+                self.drop_urllc(count, slot_tx_start, DropReason::MacBacklogFull);
             }
             return;
         }
@@ -413,81 +390,6 @@ impl Engine<'_> {
         self.harq.push(tb).expect("capacity checked");
     }
 
-    fn on_slot(&mut self, now: Instant, hook: &mut dyn SloHook) {
-        let level = hook.level();
-        self.report.total_slots += 1;
-        match level {
-            DegradationLevel::Normal => {}
-            DegradationLevel::Degraded => self.report.degraded_slots += 1,
-            DegradationLevel::Critical => self.report.critical_slots += 1,
-        }
-        let mut budget = self.slot_bytes;
-        let mut sent_bytes = 0usize;
-
-        // 1. HARQ retransmissions first — they are the oldest data.
-        while budget > 0 {
-            match self.harq.peek() {
-                None => break,
-                Some(tb) if tb.bytes > budget => break,
-                Some(_) => {}
-            }
-            // Infallible: `peek()` returned `Some` in the match above and
-            // nothing touches the backlog between the peek and this pop.
-            let tb = self.harq.pop().expect("peeked");
-            if level >= DegradationLevel::Critical && tb.newest_arrival + self.cfg.deadline < now {
-                // Every packet in the block is already late: spend the air
-                // time on packets that can still make it.
-                for i in 0..tb.ids.len() {
-                    let count = tb.ids[i];
-                    self.drop_urllc(hook, count, now, DropReason::DeadlineClamp);
-                }
-                continue;
-            }
-            budget -= tb.bytes;
-            sent_bytes += tb.bytes;
-            self.transmit_tb(tb, now, sent_bytes, hook);
-        }
-
-        // 2. The policy picks the class service order for the rest of the
-        // slot budget. The historic order — URLLC, then best-effort eMBB
-        // on the leftovers — is exactly what FCFS (arrival order, URLLC
-        // queued at PDCP first) and the priority policies produce;
-        // round-robin genuinely alternates the head of line.
-        let mut order = [
-            SchedItem {
-                rnti: 0,
-                bytes: self.rlc.queued_bytes(),
-                ready: now,
-                tag: RequestTag {
-                    priority: 0,
-                    deadline: Some(now + self.cfg.deadline),
-                    slice: Slice::Urllc,
-                },
-                seq: self.class_seq,
-            },
-            SchedItem {
-                rnti: 1,
-                bytes: self.rlc_embb.queued_bytes(),
-                ready: now,
-                tag: RequestTag { priority: 1, deadline: None, slice: Slice::Embb },
-                seq: self.class_seq + 1,
-            },
-        ];
-        self.class_seq += 2;
-        self.policy.order(now, &mut order);
-        for item in &order {
-            match item.rnti {
-                0 => self.serve_urllc(now, level, &mut budget, &mut sent_bytes, hook),
-                _ => self.serve_embb(&mut budget, &mut sent_bytes),
-            }
-        }
-
-        self.report.peak_pdcp_queue = self.report.peak_pdcp_queue.max(self.pdcp.tx_queued());
-        self.report.peak_pdcp_pending = self.report.peak_pdcp_pending.max(self.pdcp.tx_pending());
-        self.report.peak_rlc_bytes = self.report.peak_rlc_bytes.max(self.rlc.queued_bytes());
-        self.report.peak_harq_backlog = self.report.peak_harq_backlog.max(self.harq.len());
-    }
-
     /// URLLC's share of a slot: refill RLC from PDCP, assemble and
     /// transmit this slot's fresh transport block.
     fn serve_urllc(
@@ -496,7 +398,6 @@ impl Engine<'_> {
         level: DegradationLevel,
         budget: &mut usize,
         sent_bytes: &mut usize,
-        hook: &mut dyn SloHook,
     ) {
         // Refill the RLC buffer from PDCP. Normal pulls up to the RLC
         // cap; degraded tightens the pull point to one slot of data so
@@ -515,7 +416,7 @@ impl Engine<'_> {
             // deadlines).
             while self.next_pull_expected < count {
                 let c = self.next_pull_expected;
-                self.drop_urllc(hook, c, now, DropReason::PdcpDiscard);
+                self.drop_urllc(c, now, DropReason::PdcpDiscard);
                 self.next_pull_expected += 1;
             }
             self.next_pull_expected = count + 1;
@@ -527,7 +428,7 @@ impl Engine<'_> {
                     // any earlier COUNT RLC refused) from the buffer.
                     self.pdcp.confirm_up_to(count + 1);
                 }
-                Err(_) => self.drop_urllc(hook, count, now, DropReason::RlcFull),
+                Err(_) => self.drop_urllc(count, now, DropReason::RlcFull),
             }
         }
 
@@ -559,7 +460,7 @@ impl Engine<'_> {
         if !tb_ids.is_empty() {
             *sent_bytes += tb_bytes;
             let tb = TbEntry { ids: tb_ids, bytes: tb_bytes, tx_count: 0, newest_arrival: newest };
-            self.transmit_tb(tb, now, *sent_bytes, hook);
+            self.transmit_tb(tb, now, *sent_bytes);
         }
     }
 
@@ -578,6 +479,117 @@ impl Engine<'_> {
                 Ok(None) | Err(_) => break,
             }
         }
+    }
+}
+
+/// The engine on the [`cell`] driver: class 0 is the URLLC flow, class 1
+/// the optional eMBB background.
+impl CellModel for Engine<'_> {
+    const CLOCK: SlotClock = SlotClock::DlOpportunity;
+    const SLOT_STAGE: &'static str = "overload/slot";
+    const ARRIVAL_STAGES: &'static [&'static str] =
+        &["overload/urllc-arrival", "overload/embb-arrival"];
+
+    fn on_arrival(&mut self, class: usize, now: Instant) {
+        if class == 0 {
+            let count = self.pdcp.tx_enqueue(now, self.payload.clone());
+            debug_assert_eq!(count as usize, self.arrivals_by_count.len());
+            self.arrivals_by_count.push(now);
+            self.report.offered += 1;
+            return;
+        }
+        let bytes = self.embb_bytes as u64;
+        self.report.embb_offered_bytes += bytes;
+        // Byte-ledger only: `drops` counts URLLC packets, and shedding is
+        // an eMBB-side action.
+        let reason = if self.hook.level() >= DegradationLevel::Degraded {
+            self.report.embb_shed_bytes += bytes;
+            DropReason::SloShed
+        } else {
+            match self.rlc_embb.try_tx_sdu(Bytes::from(vec![0xBEu8; self.embb_bytes])) {
+                Ok(()) => return,
+                Err(RlcError::TxBufferFull { .. }) => {
+                    self.report.embb_dropped_bytes += bytes;
+                    DropReason::RlcFull
+                }
+                Err(e) => unreachable!("try_tx_sdu only fails with TxBufferFull: {e}"),
+            }
+        };
+        self.tel.journal(JournalEvent::Drop { ping: u64::MAX, at: now, reason: reason.label() });
+    }
+
+    fn on_slot(&mut self, now: Instant, _slot: u64) -> Result<(), StackError> {
+        let level = self.hook.level();
+        match level {
+            DegradationLevel::Normal => {}
+            DegradationLevel::Degraded => self.report.degraded_slots += 1,
+            DegradationLevel::Critical => self.report.critical_slots += 1,
+        }
+        let mut budget = self.slot_bytes;
+        let mut sent_bytes = 0usize;
+
+        // 1. HARQ retransmissions first — they are the oldest data.
+        while budget > 0 {
+            match self.harq.peek() {
+                None => break,
+                Some(tb) if tb.bytes > budget => break,
+                Some(_) => {}
+            }
+            // Infallible: `peek()` returned `Some` in the match above and
+            // nothing touches the backlog between the peek and this pop.
+            let tb = self.harq.pop().expect("peeked");
+            if level >= DegradationLevel::Critical && tb.newest_arrival + self.cfg.deadline < now {
+                // Every packet in the block is already late: spend the air
+                // time on packets that can still make it.
+                for &count in &tb.ids {
+                    self.drop_urllc(count, now, DropReason::DeadlineClamp);
+                }
+                continue;
+            }
+            budget -= tb.bytes;
+            sent_bytes += tb.bytes;
+            self.transmit_tb(tb, now, sent_bytes);
+        }
+
+        // 2. The policy picks the class service order for the rest of the
+        // slot budget. The historic order — URLLC, then best-effort eMBB
+        // on the leftovers — is exactly what FCFS (arrival order, URLLC
+        // queued at PDCP first) and the priority policies produce;
+        // round-robin genuinely alternates the head of line.
+        let mut order = [
+            SchedItem {
+                rnti: 0,
+                bytes: self.rlc.queued_bytes(),
+                ready: now,
+                tag: RequestTag {
+                    priority: 0,
+                    deadline: Some(now + self.cfg.deadline),
+                    slice: Slice::Urllc,
+                },
+                seq: self.class_seq,
+            },
+            SchedItem {
+                rnti: 1,
+                bytes: self.rlc_embb.queued_bytes(),
+                ready: now,
+                tag: RequestTag { priority: 1, deadline: None, slice: Slice::Embb },
+                seq: self.class_seq + 1,
+            },
+        ];
+        self.class_seq += 2;
+        self.policy.order(now, &mut order);
+        for item in &order {
+            match item.rnti {
+                0 => self.serve_urllc(now, level, &mut budget, &mut sent_bytes),
+                _ => self.serve_embb(&mut budget, &mut sent_bytes),
+            }
+        }
+
+        self.report.peak_pdcp_queue = self.report.peak_pdcp_queue.max(self.pdcp.tx_queued());
+        self.report.peak_pdcp_pending = self.report.peak_pdcp_pending.max(self.pdcp.tx_pending());
+        self.report.peak_rlc_bytes = self.report.peak_rlc_bytes.max(self.rlc.queued_bytes());
+        self.report.peak_harq_backlog = self.report.peak_harq_backlog.max(self.harq.len());
+        Ok(())
     }
 
     fn work_left(&self) -> bool {
@@ -613,14 +625,10 @@ pub fn run_overload_profiled(
 ) -> OverloadReport {
     let stack = &cfg.stack;
     let horizon = Instant::ZERO + cfg.horizon;
-    // Drain budget: generous, but bounded — a wedged pipeline surfaces as
-    // `in_flight > 0` instead of a hang.
-    let drain_limit = horizon + stack.duplex.pattern_period() * 4096;
-
-    let mut urllc_gen = ArrivalGen::new(cfg.arrivals, rng.stream("overload-urllc"));
-    let mut embb_gen =
-        cfg.embb.as_ref().map(|(p, _)| ArrivalGen::new(*p, rng.stream("overload-embb")));
-    let embb_bytes = cfg.embb.as_ref().map_or(0, |&(_, b)| b);
+    let mut sources = vec![Source::process(cfg.arrivals, rng.stream("overload-urllc"), horizon)];
+    if let Some((p, _)) = &cfg.embb {
+        sources.push(Source::process(*p, rng.stream("overload-embb"), horizon));
+    }
 
     let mut pdcp = PdcpEntity::new(PdcpConfig::new(stack.seed, 1, Direction::Downlink));
     pdcp.set_discard_timer(cfg.discard_timer);
@@ -632,6 +640,9 @@ pub fn run_overload_profiled(
     let mut engine = Engine {
         cfg,
         tel,
+        hook,
+        payload: Bytes::from(vec![0u8; stack.payload_bytes]),
+        embb_bytes: cfg.embb.as_ref().map_or(0, |&(_, b)| b),
         slot_bytes: stack.slot_capacity_bytes(),
         wire_bytes: cfg.packet_wire_bytes(),
         pdcp,
@@ -644,137 +655,33 @@ pub fn run_overload_profiled(
         next_pull_expected: 0,
         policy: cfg.policy.build(),
         class_seq: 0,
-        report: OverloadReport {
-            offered: 0,
-            delivered: 0,
-            late: 0,
-            drops: DropCounts::default(),
-            in_flight: 0,
-            latency: Recording::fixed(),
-            mean_queue_wait: Duration::ZERO,
-            embb_offered_bytes: 0,
-            embb_sent_bytes: 0,
-            embb_dropped_bytes: 0,
-            embb_shed_bytes: 0,
-            embb_queued_bytes: 0,
-            peak_pdcp_queue: 0,
-            peak_pdcp_pending: 0,
-            peak_rlc_bytes: 0,
-            peak_harq_backlog: 0,
-            total_slots: 0,
-            degraded_slots: 0,
-            critical_slots: 0,
-        },
+        report: OverloadReport { latency: Recording::fixed(), ..OverloadReport::default() },
         wait_sum_ns: 0,
         wait_n: 0,
     };
-
-    let payload = Bytes::from(vec![0u8; stack.payload_bytes]);
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    // Arrival events outrank the slot event at the same instant so a
-    // packet arriving exactly on a slot boundary is eligible for it.
-    let first = urllc_gen.next_arrival();
-    if first < horizon {
-        queue.push_with_priority(first, 0, Ev::UrllcArrival);
-    }
-    if let Some(gen) = embb_gen.as_mut() {
-        let first = gen.next_arrival();
-        if first < horizon {
-            queue.push_with_priority(first, 0, Ev::EmbbArrival);
-        }
-    }
-    let op0 = stack.duplex.next_dl_opportunity(Instant::ZERO);
-    queue.push_with_priority(op0.tx_start, 1, Ev::Slot(op0.slot));
-
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::UrllcArrival => {
-                let _t = prof.scope("overload/urllc-arrival");
-                let count = engine.pdcp.tx_enqueue(now, payload.clone());
-                debug_assert_eq!(count as usize, engine.arrivals_by_count.len());
-                engine.arrivals_by_count.push(now);
-                engine.report.offered += 1;
-                let next = urllc_gen.next_arrival();
-                if next < horizon {
-                    queue.push_with_priority(next, 0, Ev::UrllcArrival);
-                }
-            }
-            Ev::EmbbArrival => {
-                let _t = prof.scope("overload/embb-arrival");
-                engine.report.embb_offered_bytes += embb_bytes as u64;
-                if hook.level() >= DegradationLevel::Degraded {
-                    // Byte-ledger only: `drops` counts URLLC packets, and
-                    // shedding is an eMBB-side action.
-                    engine.report.embb_shed_bytes += embb_bytes as u64;
-                    tel.journal(JournalEvent::Drop {
-                        ping: u64::MAX,
-                        at: now,
-                        reason: DropReason::SloShed.label(),
-                    });
-                } else {
-                    match engine.rlc_embb.try_tx_sdu(Bytes::from(vec![0xBEu8; embb_bytes])) {
-                        Ok(()) => {}
-                        Err(RlcError::TxBufferFull { .. }) => {
-                            engine.report.embb_dropped_bytes += embb_bytes as u64;
-                            tel.journal(JournalEvent::Drop {
-                                ping: u64::MAX,
-                                at: now,
-                                reason: DropReason::RlcFull.label(),
-                            });
-                        }
-                        Err(e) => unreachable!("try_tx_sdu only fails with TxBufferFull: {e}"),
-                    }
-                }
-                if let Some(gen) = embb_gen.as_mut() {
-                    let next = gen.next_arrival();
-                    if next < horizon {
-                        queue.push_with_priority(next, 0, Ev::EmbbArrival);
-                    }
-                }
-            }
-            Ev::Slot(slot) => {
-                let _t = prof.scope("overload/slot");
-                engine.on_slot(now, hook);
-                // Schedule the next DL slot while arrivals remain or any
-                // stage still holds data (bounded by the drain limit).
-                if !queue.is_empty() || engine.work_left() {
-                    let after = stack.duplex.slot_start(slot + 1);
-                    let op = stack.duplex.next_dl_opportunity(after);
-                    if op.tx_start <= drain_limit {
-                        queue.push_with_priority(op.tx_start, 1, Ev::Slot(op.slot));
-                    }
-                }
-            }
-        }
-    }
+    // The slot body cannot fail, so neither can the loop.
+    let run = cell::drive(&mut engine, &mut sources, &stack.duplex, horizon, prof)
+        .unwrap_or_else(|e| unreachable!("overload slots are infallible: {e}"));
+    engine.report.total_slots = run.total_slots;
 
     // Final reconciliation. The PDCP queue is FIFO, so whatever was never
     // pulled splits into a discarded prefix and an in-flight suffix of
     // length `tx_queued()`.
     let total = engine.report.offered as u32;
     let queued = engine.pdcp.tx_queued() as u32;
-    let end = queue.now();
     while engine.next_pull_expected < total.saturating_sub(queued) {
         let c = engine.next_pull_expected;
-        engine.drop_urllc(hook, c, end, DropReason::PdcpDiscard);
+        engine.drop_urllc(c, run.end, DropReason::PdcpDiscard);
         engine.next_pull_expected += 1;
     }
     // Whatever is still queued anywhere (PDCP, RLC, HARQ) is in flight.
-    let harq_in_flight: u64 = {
-        let mut n = 0u64;
-        while let Some(tb) = engine.harq.pop() {
-            n += tb.ids.len() as u64;
-        }
-        n
-    };
+    let harq_in_flight: u64 =
+        std::iter::from_fn(|| engine.harq.pop()).map(|tb| tb.ids.len() as u64).sum();
     engine.report.in_flight = u64::from(queued) + engine.rlc_fifo.len() as u64 + harq_in_flight;
     engine.report.embb_queued_bytes = engine.rlc_embb.queued_bytes() as u64;
-    engine.report.mean_queue_wait = if engine.wait_n == 0 {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos((engine.wait_sum_ns / u128::from(engine.wait_n)) as u64)
-    };
+    // No waits recorded: the sum is 0 too, so the mean is zero.
+    engine.report.mean_queue_wait =
+        Duration::from_nanos((engine.wait_sum_ns / u128::from(engine.wait_n.max(1))) as u64);
     engine.report
 }
 

@@ -1,12 +1,16 @@
 //! The scheduler/slicing laboratory — a policy × load × slice-mix sweep
-//! over the [`ran::sched`] policy layer (ROADMAP scheduler-lab item).
+//! over the [`ran::sched`] policy layer (experiment X14) — and the
+//! URLLC/eMBB coexistence sweep (X8) as single-class lab points.
 //!
 //! SimURLLC-style experiment: three traffic classes (URLLC / eMBB / mMTC)
 //! offer Poisson downlink load against one cell's slot machinery, and
 //! every [`PolicySpec`] in the set orders the same arrival trace. The lab
 //! measures what the *policy* changes — per-class p50/p99/p999 latency
 //! and deadline-miss rate — with everything else (arrivals, capacity,
-//! slot pattern) held byte-identical across policies.
+//! slot pattern) held byte-identical across policies. Each point runs on
+//! the [`cell`] driver: arrivals reach the [`Scheduler`] as they happen,
+//! the scheduler runs every slot, and a [`Ledger`] maps each assignment
+//! back to its arrival.
 //!
 //! ## Determinism
 //!
@@ -25,16 +29,18 @@
 //! the packet's own air time remains. The lab's tests assert the
 //! simulated maximum stays under this bound.
 
-use std::collections::VecDeque;
-
 use ran::sched::{
-    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SliceShares,
+    AccessMode, EmergencyBurst, PolicySpec, RequestTag, Rnti, Scheduler, SchedulerConfig,
+    SliceShares,
 };
 use serde::Serialize;
-use sim::{Dist, Duration, Instant, Recording, SimRng};
+use sim::{Duration, Instant, Recording, SimRng};
+use telemetry::Profiler;
 
+use crate::cell::{self, CellModel, Ledger, SlotClock, Source, UNBOUNDED};
 use crate::config::StackConfig;
 use crate::multicell::{dl_capacity_bytes_per_sec, slice_of};
+use crate::node::StackError;
 
 /// One traffic class of a lab mix.
 #[derive(Debug, Clone, Serialize)]
@@ -80,32 +86,26 @@ pub struct SchedLabConfig {
     pub horizon: Duration,
 }
 
+/// A lab class taking `share` of the offered byte rate, with a
+/// `deadline_us` µs deadline.
+fn class(name: &'static str, priority: u8, bytes: usize, share: f64, deadline_us: u64) -> LabClass {
+    LabClass {
+        name,
+        priority,
+        packet_bytes: bytes,
+        byte_share: share,
+        deadline: Duration::from_micros(deadline_us),
+    }
+}
+
 /// The URLLC-heavy factory-cell mix (tight deadlines, thin packets).
 fn factory_mix() -> LabMix {
     LabMix {
         name: "factory",
         classes: vec![
-            LabClass {
-                name: "urllc",
-                priority: 0,
-                packet_bytes: 64,
-                byte_share: 0.30,
-                deadline: Duration::from_micros(2_500),
-            },
-            LabClass {
-                name: "embb",
-                priority: 1,
-                packet_bytes: 400,
-                byte_share: 0.50,
-                deadline: Duration::from_millis(20),
-            },
-            LabClass {
-                name: "mmtc",
-                priority: 2,
-                packet_bytes: 32,
-                byte_share: 0.20,
-                deadline: Duration::from_millis(50),
-            },
+            class("urllc", 0, 64, 0.30, 2_500),
+            class("embb", 1, 400, 0.50, 20_000),
+            class("mmtc", 2, 32, 0.20, 50_000),
         ],
         emergency: None,
     }
@@ -116,27 +116,9 @@ fn urban_mix() -> LabMix {
     LabMix {
         name: "urban",
         classes: vec![
-            LabClass {
-                name: "urllc",
-                priority: 0,
-                packet_bytes: 64,
-                byte_share: 0.10,
-                deadline: Duration::from_micros(2_500),
-            },
-            LabClass {
-                name: "embb",
-                priority: 1,
-                packet_bytes: 400,
-                byte_share: 0.70,
-                deadline: Duration::from_millis(20),
-            },
-            LabClass {
-                name: "mmtc",
-                priority: 2,
-                packet_bytes: 32,
-                byte_share: 0.20,
-                deadline: Duration::from_millis(50),
-            },
+            class("urllc", 0, 64, 0.10, 2_500),
+            class("embb", 1, 400, 0.70, 20_000),
+            class("mmtc", 2, 32, 0.20, 50_000),
         ],
         emergency: None,
     }
@@ -185,8 +167,13 @@ impl SchedLabConfig {
 pub struct LabClassReport {
     /// Class label.
     pub class: &'static str,
-    /// Packets offered (every lab arrival is eventually assigned).
+    /// Packets delivered (every lab arrival is eventually assigned).
     pub count: u64,
+    /// Packets offered within the horizon.
+    pub offered: u64,
+    /// Packets the scheduler had not assigned when the drain window
+    /// closed.
+    pub in_flight: u64,
     /// Median latency, µs.
     pub p50_us: f64,
     /// 99th-percentile latency, µs.
@@ -215,144 +202,246 @@ pub struct LabPointReport {
     pub punctured_bytes: u64,
 }
 
-/// Runs one (policy, load, mix) point: pre-samples the class arrival
-/// processes, then drives the scheduler slot by slot, feeding arrivals at
-/// each boundary and attributing assignments back to classes through
-/// per-class FIFO ledgers (exact: every policy is seq-stable within a
-/// class, so per-class service order is arrival order).
-fn run_point(
+impl LabPointReport {
+    /// `true` when every offered packet was delivered or is in flight.
+    pub fn conserved(&self) -> bool {
+        self.classes.iter().all(|c| c.offered == c.count + c.in_flight)
+    }
+}
+
+impl LabClass {
+    fn tag(&self, arrival: Instant) -> RequestTag {
+        RequestTag {
+            priority: self.priority,
+            deadline: Some(arrival + self.deadline),
+            slice: slice_of(self.priority),
+        }
+    }
+}
+
+/// One lab point on the [`cell`] driver: each arrival is handed to the
+/// scheduler as it happens, the scheduler runs every slot, and the ledger
+/// attributes each assignment back to its arrival.
+struct Lab<'a> {
+    stack: &'a StackConfig,
+    classes: &'a [LabClass],
+    sched: Scheduler,
+    ledger: Ledger,
+    recs: Vec<Recording>,
+    misses: Vec<u64>,
+    offered: Vec<u64>,
+}
+
+impl CellModel for Lab<'_> {
+    const CLOCK: SlotClock = SlotClock::EverySlot;
+
+    fn on_arrival(&mut self, ci: usize, now: Instant) {
+        let class = &self.classes[ci];
+        self.sched.on_dl_data_tagged(ci as Rnti, class.packet_bytes, now, class.tag(now));
+        self.ledger.push(ci as Rnti, now);
+        self.offered[ci] += 1;
+    }
+
+    fn on_slot(&mut self, _now: Instant, slot: u64) -> Result<(), StackError> {
+        for a in self.sched.run_slot(slot).dl_assignments {
+            let ci = usize::from(a.rnti);
+            let latency =
+                a.dl.tx_start + self.stack.data_air_time(a.bytes) - self.ledger.pop(a.rnti)?;
+            self.recs[ci].record(latency);
+            if latency > self.classes[ci].deadline {
+                self.misses[ci] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn work_left(&self) -> bool {
+        !self.ledger.is_empty()
+    }
+}
+
+/// Runs `classes` (fed by `sources`, one each) against `sched` on `[0,
+/// horizon)` and returns the drained point. The one point runner of the
+/// laboratory and of the coexistence sweep.
+fn run_point<'a>(
+    stack: &'a StackConfig,
+    sched: Scheduler,
+    classes: &'a [LabClass],
+    mut sources: Vec<Source>,
+    horizon: Instant,
+    recording: Recording,
+) -> Result<Lab<'a>, StackError> {
+    // A packet no DL slot can ever carry would abort the scheduler.
+    for class in classes {
+        let room = sched.dl_room(&class.tag(Instant::ZERO));
+        if class.packet_bytes > room {
+            return Err(StackError::InvalidConfig(format!(
+                "class {}: a {}-byte packet never fits the {room} B a DL slot leaves it",
+                class.name, class.packet_bytes
+            )));
+        }
+    }
+    let mut lab = Lab {
+        stack,
+        classes,
+        sched,
+        ledger: Ledger::default(),
+        recs: vec![recording; classes.len()],
+        misses: vec![0; classes.len()],
+        offered: vec![0; classes.len()],
+    };
+    cell::drive(&mut lab, &mut sources, &stack.duplex, horizon, &Profiler::disabled())?;
+    Ok(lab)
+}
+
+/// One (policy, load, mix) point: Poisson arrivals per class at the
+/// class's share of the offered byte rate (URLLC surging through the mix's
+/// emergency window), each class on its own RNG stream, so every policy
+/// replays the same arrival trace.
+fn sweep_point(
     cfg: &SchedLabConfig,
     spec: &PolicySpec,
     load: f64,
     mix: &LabMix,
     index: u64,
-) -> LabPointReport {
+) -> Result<LabPointReport, StackError> {
     let stack = &cfg.stack;
     // Slice-aware budgets honour the mix's emergency window.
-    let spec = match (*spec, mix.emergency) {
-        (PolicySpec::SliceAware(mut s), Some(e)) => {
-            s.emergency = Some(e);
-            PolicySpec::SliceAware(s)
-        }
-        (other, _) => other,
-    };
-    let mut sched = Scheduler::new(stack.clone().with_policy(spec).scheduler_config());
-
+    let mut spec = *spec;
+    if let (PolicySpec::SliceAware(s), Some(e)) = (&mut spec, mix.emergency) {
+        s.emergency = Some(e);
+    }
+    let sched = Scheduler::new(stack.clone().with_policy(spec).scheduler_config());
     let rng = SimRng::from_seed(stack.seed).stream_indexed("sched-point", index);
     let offered_bps = load * dl_capacity_bytes_per_sec(stack);
     let horizon = Instant::ZERO + cfg.horizon;
-
-    // Pre-sample every class's Poisson arrivals (the scheduler draws no
-    // RNG, so sampling up front changes nothing), then merge by time with
-    // class index as the tie-break — a deterministic single trace every
-    // policy replays identically.
-    let mut arrivals: Vec<(Instant, usize)> = Vec::new();
-    for (ci, class) in mix.classes.iter().enumerate() {
-        let mut r = rng.stream_indexed("class", ci as u64);
-        let pps = (offered_bps * class.byte_share / class.packet_bytes as f64).max(1e-9);
-        let base_mean = Duration::from_micros_f64(1e6 / pps);
-        let mut t = Instant::ZERO;
-        loop {
-            // The emergency window multiplies the URLLC rate (divides the
-            // mean inter-arrival) while it is active.
-            let factor = match mix.emergency {
-                Some(e) if class.priority == 0 => e.factor_at(t),
-                _ => 1.0,
-            };
-            let mean = Duration::from_micros_f64(base_mean.as_micros_f64() / factor);
-            t += Dist::Exponential { mean }.sample(&mut r);
-            if t >= horizon {
-                break;
-            }
-            arrivals.push((t, ci));
-        }
-    }
-    arrivals.sort_by_key(|&(t, ci)| (t, ci));
-
-    let mut pending: Vec<VecDeque<Instant>> = mix.classes.iter().map(|_| VecDeque::new()).collect();
-    let mut recs: Vec<Recording> = mix.classes.iter().map(|_| Recording::fixed()).collect();
-    let mut misses: Vec<u64> = vec![0; mix.classes.len()];
-
-    let mut next = 0usize;
-    let mut slot = 0u64;
-    while next < arrivals.len() {
-        slot += 1;
-        let now = stack.duplex.slot_start(slot);
-        while next < arrivals.len() && arrivals[next].0 < now {
-            let (t, ci) = arrivals[next];
-            let class = &mix.classes[ci];
-            sched.on_dl_data_tagged(
-                ci as Rnti,
-                class.packet_bytes,
-                t,
-                RequestTag {
-                    priority: class.priority,
-                    deadline: Some(t + class.deadline),
-                    slice: slice_of(class.priority),
-                },
-            );
-            pending[ci].push_back(t);
-            next += 1;
-        }
-        // Every request ready before the boundary is assigned this round
-        // (first-fit probes forward until a slot has room), so the loop
-        // ends exactly when the trace is exhausted.
-        for a in sched.run_slot(slot).dl_assignments {
-            let ci = a.rnti as usize;
-            // Within a class every policy orders by seq (stable sorts +
-            // seq tie-break), so assignment order is arrival order.
-            let arrival = pending[ci].pop_front().expect("per-class FIFO ledger in sync");
-            let latency = a.dl.tx_start + stack.data_air_time(a.bytes) - arrival;
-            recs[ci].record(latency);
-            if latency > mix.classes[ci].deadline {
-                misses[ci] += 1;
-            }
-        }
-    }
+    let sources = mix
+        .classes
+        .iter()
+        .enumerate()
+        .map(|(ci, class)| {
+            let pps = (offered_bps * class.byte_share / class.packet_bytes as f64).max(1e-9);
+            let burst = mix.emergency.filter(|_| class.priority == 0);
+            let r = rng.stream_indexed("class", ci as u64);
+            Source::poisson(Duration::from_micros_f64(1e6 / pps), burst, r, horizon, class.name)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut lab = run_point(stack, sched, &mix.classes, sources, horizon, Recording::fixed())?;
 
     let classes = mix
         .classes
         .iter()
         .enumerate()
         .map(|(ci, class)| {
-            let rec = &mut recs[ci];
+            let rec = &mut lab.recs[ci];
             let count = rec.count();
             LabClassReport {
                 class: class.name,
                 count,
+                offered: lab.offered[ci],
+                in_flight: lab.ledger.pending(ci as Rnti) as u64,
                 p50_us: rec.try_quantile_us(0.5).unwrap_or(0.0),
                 p99_us: rec.try_quantile_us(0.99).unwrap_or(0.0),
                 p999_us: rec.try_quantile_us(0.999).unwrap_or(0.0),
                 max_us: rec.max_us(),
-                miss_rate: misses[ci] as f64 / count.max(1) as f64,
+                miss_rate: lab.misses[ci] as f64 / count.max(1) as f64,
             }
         })
         .collect();
-    LabPointReport {
+    Ok(LabPointReport {
         policy: spec.name(),
         load,
         mix: mix.name,
         classes,
-        punctured_bytes: sched.punctured_bytes(),
-    }
+        punctured_bytes: lab.sched.punctured_bytes(),
+    })
 }
 
 /// Runs the whole sweep, one shard per (policy, load, mix) point, and
 /// returns the reports in point order (policy-major, then load, then
-/// mix) — byte-identical at any worker count.
-pub fn run_sched_lab(cfg: &SchedLabConfig) -> Vec<LabPointReport> {
-    let mut points: Vec<(&PolicySpec, f64, &LabMix)> = Vec::new();
-    for p in &cfg.policies {
-        for &l in &cfg.loads {
-            for m in &cfg.mixes {
-                points.push((p, l, m));
-            }
-        }
-    }
+/// mix) — byte-identical at any worker count. A point whose mix cannot run
+/// (a zero arrival mean, a packet no slot carries) fails the sweep.
+pub fn run_sched_lab(cfg: &SchedLabConfig) -> Result<Vec<LabPointReport>, StackError> {
+    let points: Vec<(&PolicySpec, f64, &LabMix)> = cfg
+        .policies
+        .iter()
+        .flat_map(|p| cfg.loads.iter().flat_map(move |&l| cfg.mixes.iter().map(move |m| (p, l, m))))
+        .collect();
     sim::parallel::run_shards(points.len(), |i| {
         let (p, l, m) = points[i];
-        run_point(cfg, p, l, m, i as u64)
+        sweep_point(cfg, p, l, m, i as u64)
     })
+    .into_iter()
+    .collect()
+}
+
+/// One point of the coexistence sweep.
+#[derive(Debug, Clone, Serialize)]
+pub struct CoexistencePoint {
+    /// Fraction of each DL slot's capacity consumed by eMBB.
+    pub embb_load: f64,
+    /// The scheduling policy that served URLLC at this point.
+    pub policy: PolicySpec,
+    /// URLLC downlink latency (RLC enqueue → transmission end), every
+    /// sample kept.
+    pub latency: Recording,
+    /// eMBB bytes erased by preemption (0 under the queueing arm).
+    pub embb_bytes_lost: u64,
+}
+
+/// URLLC/eMBB coexistence — the research direction the paper's §1 notes
+/// ("many research papers assume the availability of URLLC and focus on
+/// the coexistence of it alongside other services, e.g. eMBB") — as
+/// single-class lab points: `packets` URLLC downlink packets with Poisson
+/// arrivals (2 ms mean) share the cell with a constant eMBB backlog
+/// taking `load` of every DL slot, under zero scheduler lead.
+///
+/// * **Queue** (`preempt` false: [`PolicySpec::Fcfs`] over the capacity
+///   eMBB leaves) — URLLC competes for the residual capacity and spills
+///   into later slots as the load grows. A load that leaves less than one
+///   packet is an error.
+/// * **Preempt** ([`PolicySpec::PreemptivePriority`] with the eMBB share
+///   as the standing background) — URLLC punctures the eMBB allocation:
+///   its latency stays flat and the cost appears as erased eMBB bytes.
+///
+/// A load outside `[0, 1]` is an error.
+pub fn coexistence_sweep(
+    preempt: bool,
+    loads: &[f64],
+    packets: u64,
+    seed: u64,
+) -> Result<Vec<CoexistencePoint>, StackError> {
+    let base = StackConfig::testbed_dddu(AccessMode::GrantFree, true);
+    let full = base.slot_capacity_bytes();
+    let urllc = [class("urllc", 0, base.grant_bytes(), 1.0, base.deadline.as_nanos() / 1_000)];
+    let point = |&load: &f64| {
+        if !(0.0..=1.0).contains(&load) {
+            return Err(StackError::InvalidConfig(format!("eMBB load {load} is not a fraction")));
+        }
+        let (policy, capacity) = if preempt {
+            let background = ((full as f64) * load) as usize;
+            (PolicySpec::PreemptivePriority { dl_background: background }, full)
+        } else {
+            (PolicySpec::Fcfs, ((full as f64) * (1.0 - load)) as usize)
+        };
+        let sched = Scheduler::new(SchedulerConfig {
+            dl_slot_capacity: capacity,
+            policy: policy.build(),
+            ..SchedulerConfig::ideal(base.duplex.clone(), AccessMode::GrantFree)
+        });
+        let rng = SimRng::from_seed(seed).stream("coexistence");
+        let source =
+            Source::poisson(Duration::from_millis(2), None, rng, UNBOUNDED, "coexistence")?
+                .starting_at(Instant::ZERO, packets);
+        let mut lab = run_point(&base, sched, &urllc, vec![source], UNBOUNDED, Recording::exact())?;
+        Ok(CoexistencePoint {
+            embb_load: load,
+            policy,
+            latency: lab.recs.remove(0),
+            embb_bytes_lost: lab.sched.punctured_bytes(),
+        })
+    };
+    loads.iter().map(point).collect()
 }
 
 /// Closed-form cap on URLLC latency under a preemptive policy.
@@ -375,13 +464,12 @@ impl PreemptionBoundModel {
     /// term remains. Valid while URLLC's own (hard) bytes never fill a
     /// slot — the regime every lab load point stays in.
     pub fn new(stack: &StackConfig, urllc_bytes: usize) -> PreemptionBoundModel {
-        let sc = stack.scheduler_config();
         let slot = stack.duplex.slot_duration();
         let period_slots = (stack.duplex.pattern_period().as_nanos() / slot.as_nanos()).max(1);
         let mut worst = Duration::ZERO;
         for b in 0..period_slots {
             let boundary = stack.duplex.slot_start(b);
-            let op = stack.duplex.next_dl_opportunity(boundary.saturating_add(sc.lead));
+            let op = stack.duplex.next_dl_opportunity(boundary.saturating_add(stack.sched_lead));
             worst = worst.max(op.tx_start - boundary);
         }
         PreemptionBoundModel {
@@ -426,9 +514,9 @@ mod tests {
     fn sweep_is_worker_count_invariant() {
         let cfg = small(vec![PolicySpec::Fcfs, PolicySpec::EarliestDeadlineFirst]);
         sim::parallel::set_jobs(1);
-        let a = run_sched_lab(&cfg);
+        let a = run_sched_lab(&cfg).unwrap();
         sim::parallel::set_jobs(2);
-        let b = run_sched_lab(&cfg);
+        let b = run_sched_lab(&cfg).unwrap();
         sim::parallel::set_jobs(0);
         assert_eq!(a, b);
     }
@@ -436,15 +524,17 @@ mod tests {
     #[test]
     fn every_arrival_is_served_exactly_once() {
         let cfg = small(vec![PolicySpec::RoundRobin]);
-        let pts = run_sched_lab(&cfg);
+        let pts = run_sched_lab(&cfg).unwrap();
         assert_eq!(pts.len(), 1);
         // Same trace, different policy: identical per-class counts.
         let cfg2 = small(vec![PolicySpec::Fcfs]);
-        let pts2 = run_sched_lab(&cfg2);
+        let pts2 = run_sched_lab(&cfg2).unwrap();
         for (a, b) in pts[0].classes.iter().zip(&pts2[0].classes) {
             assert!(a.count > 0, "class {} served nothing", a.class);
             assert_eq!(a.count, b.count, "class {}", a.class);
+            assert_eq!((a.offered, a.in_flight), (a.count, 0), "class {}", a.class);
         }
+        assert!(pts[0].conserved() && pts2[0].conserved());
     }
 
     #[test]
@@ -454,7 +544,7 @@ mod tests {
             PolicySpec::PreemptivePriority { dl_background: 0 },
         ]);
         cfg.loads = vec![1.1];
-        let pts = run_sched_lab(&cfg);
+        let pts = run_sched_lab(&cfg).unwrap();
         let queued = urllc(&pts[0]);
         let preempted = urllc(&pts[1]);
         assert!(
@@ -477,7 +567,7 @@ mod tests {
         let urllc_bytes = cfg.mixes[0].classes[0].packet_bytes;
         let bound = PreemptionBoundModel::new(&cfg.stack, urllc_bytes);
         assert!(bound.bound > Duration::ZERO);
-        for p in run_sched_lab(&cfg) {
+        for p in run_sched_lab(&cfg).unwrap() {
             let c = urllc(&p);
             assert!(
                 c.max_us <= bound.bound.as_micros_f64() + 1e-6,
@@ -497,14 +587,106 @@ mod tests {
         cfg.loads = vec![0.8];
         cfg.horizon = Duration::from_millis(100);
         cfg.mixes = vec![urban_mix()];
-        let calm = run_sched_lab(&cfg);
+        let calm = run_sched_lab(&cfg).unwrap();
         cfg.mixes = vec![emergency_mix()];
-        let surged = run_sched_lab(&cfg);
+        let surged = run_sched_lab(&cfg).unwrap();
         assert!(
             urllc(&surged[0]).count > urllc(&calm[0]).count,
             "surge {} vs calm {}",
             urllc(&surged[0]).count,
             urllc(&calm[0]).count
         );
+    }
+    #[test]
+    fn oversized_or_silent_classes_are_typed_errors() {
+        let cap = SchedLabConfig::simurllc(1).stack.slot_capacity_bytes();
+        for (bytes, share) in [(cap + 1, 0.3), (0, 0.3)] {
+            let mut cfg = small(vec![PolicySpec::Fcfs]);
+            cfg.mixes[0].classes[0].packet_bytes = bytes;
+            cfg.mixes[0].classes[0].byte_share = share;
+            let err = run_sched_lab(&cfg).expect_err("must not run");
+            assert!(matches!(err, StackError::InvalidConfig(_)), "{err}");
+        }
+        // A packet that fits the slot but not beside the background a
+        // non-preempting class must leave, or not in its slice's budget.
+        let mut cfg = small(vec![PolicySpec::PreemptivePriority { dl_background: cap - 100 }]);
+        cfg.mixes[0].classes[1].packet_bytes = 200;
+        assert!(run_sched_lab(&cfg).is_err());
+        // Even shares give URLLC 1/3 × 1.2 of the slot.
+        let mut cfg = small(vec![PolicySpec::SliceAware(SliceShares::even())]);
+        cfg.mixes[0].classes[0].packet_bytes = cap / 2;
+        assert!(run_sched_lab(&cfg).is_err());
+    }
+
+    fn mean(p: &CoexistencePoint) -> f64 {
+        let mut rec = p.latency.clone();
+        rec.summary().mean_us
+    }
+
+    #[test]
+    fn queue_latency_grows_with_embb_load() {
+        // At 85 % load a DDDU slot fits ~one URLLC packet; arrivals every
+        // 2 ms against ~1 serviceable packet per 0.5 ms slot group start
+        // spilling across slots.
+        let pts = coexistence_sweep(false, &[0.0, 0.5, 0.85], 500, 1).unwrap();
+        let means: Vec<f64> = pts.iter().map(mean).collect();
+        assert!(means[1] >= means[0] * 0.9, "{means:?}"); // 50 % load: still fits
+        assert!(means[2] > 1.2 * means[0], "heavy load must queue: {means:?}");
+        assert!(pts.iter().all(|p| p.embb_bytes_lost == 0));
+        assert!(pts.iter().all(|p| p.policy == PolicySpec::Fcfs));
+    }
+
+    #[test]
+    fn queue_policy_rejects_saturating_load() {
+        let err = coexistence_sweep(false, &[0.99], 10, 1).expect_err("cannot serve");
+        assert!(matches!(err, StackError::InvalidConfig(_)), "{err}");
+        for load in [-0.1, 1.5, f64::NAN] {
+            assert!(coexistence_sweep(true, &[load], 10, 1).is_err(), "load {load}");
+        }
+    }
+
+    #[test]
+    fn preemption_keeps_urllc_flat_and_charges_embb() {
+        let pts = coexistence_sweep(true, &[0.0, 0.5, 0.99], 500, 2).unwrap();
+        let means: Vec<f64> = pts.iter().map(mean).collect();
+        assert!(
+            (means[2] - means[0]).abs() < 0.05 * means[0],
+            "preemptive latency should be load-independent: {means:?}"
+        );
+        // At ≤ 50 % load the free share absorbs the packet: nothing erased.
+        assert_eq!(pts[0].embb_bytes_lost, 0);
+        assert_eq!(pts[1].embb_bytes_lost, 0);
+        // At 99 % load nearly every URLLC byte punctures eMBB.
+        assert!(pts[2].embb_bytes_lost > 0);
+    }
+
+    #[test]
+    fn preemption_charge_matches_per_packet_formula() {
+        // Every packet punctures independently, so the scheduler's ledger
+        // must equal the closed-form per-packet charge: the URLLC bytes
+        // that do not fit in the slot's free share.
+        let base = StackConfig::testbed_dddu(AccessMode::GrantFree, true);
+        let full = base.slot_capacity_bytes();
+        let urllc = base.grant_bytes();
+        let load = 0.9;
+        let free = full - ((full as f64) * load) as usize;
+        let pts = coexistence_sweep(true, &[load], 200, 7).unwrap();
+        assert_eq!(pts[0].latency.count(), 200);
+        assert_eq!(pts[0].embb_bytes_lost, 200 * urllc.saturating_sub(free) as u64);
+    }
+
+    #[test]
+    fn policies_agree_when_cell_is_idle() {
+        let q = &coexistence_sweep(false, &[0.0], 300, 3).unwrap()[0];
+        let p = &coexistence_sweep(true, &[0.0], 300, 3).unwrap()[0];
+        assert!((mean(q) - mean(p)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_packets_served() {
+        for preempt in [false, true] {
+            let pts = coexistence_sweep(preempt, &[0.7], 400, 4).unwrap();
+            assert_eq!(pts[0].latency.count(), 400, "preempt={preempt}");
+        }
     }
 }

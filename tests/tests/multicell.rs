@@ -1,6 +1,6 @@
 //! City-scale multi-cell acceptance: a ≥10⁵-UE topology completes with
 //! memory bounded independently of the packet count, stays conserved,
-//! and reports per-cell + aggregate tails (ROADMAP item 1).
+//! and reports per-cell + aggregate tails (experiment X13).
 
 use sim::Duration;
 use stack::{run_multicell, MulticellConfig};
